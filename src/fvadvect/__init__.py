@@ -20,7 +20,13 @@ from .problems import (
     max_norm_error,
     standard_problem,
 )
-from .schemes import SCHEME_NAMES, default_product_order, scheme_coefficients
+from .schemes import (
+    SCHEME_NAMES,
+    FaceFlow,
+    default_product_order,
+    face_flow,
+    scheme_coefficients,
+)
 from .velocity import (
     ConstantDiagonal,
     SolidBodyRotation,

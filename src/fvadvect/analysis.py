@@ -98,24 +98,36 @@ def rk4_amplification_parts(x, y):
 STABILITY_TOL = 1e-12
 
 
-def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
-    """Largest CFL number, found by bisection on the worst amplification.
+def phase_modes(scheme, dim=1, n_beta=1024):
+    """Unit-CFL eigenvalues on a dense phase-angle grid.
 
-    Scans |g| over a dense phase-angle grid (full [-pi, pi] per dimension,
-    endpoints included, equal unit speeds in every dimension as the 2D
-    worst case) and accepts sigma when max|g| <= 1 + 1e-12.
+    The grid is the full [-pi, pi] per dimension, endpoints included, with
+    equal unit speeds in every dimension as the 2D worst case.
     """
     beta = np.linspace(-np.pi, np.pi, n_beta)
     mu = stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
     if dim == 1:
-        modes = mu
-    elif dim == 2:
-        modes = mu[:, None] + mu[None, :]
-    else:
-        raise ValueError("dim must be 1 or 2")
+        return mu
+    if dim == 2:
+        return mu[:, None] + mu[None, :]
+    raise ValueError("dim must be 1 or 2")
+
+
+def max_amplification(modes, sigma):
+    """Largest RK4 amplification |g(sigma * mode)| over ``modes``."""
+    return float(np.max(np.abs(rk4_amplification(sigma * modes))))
+
+
+def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
+    """Largest CFL number, found by bisection on the worst amplification.
+
+    Scans |g| over ``phase_modes`` and accepts sigma when
+    max|g| <= 1 + STABILITY_TOL.
+    """
+    modes = phase_modes(scheme, dim, n_beta)
 
     def stable(sig):
-        return np.max(np.abs(rk4_amplification(sig * modes))) <= 1.0 + STABILITY_TOL
+        return max_amplification(modes, sig) <= 1.0 + STABILITY_TOL
 
     lo, hi = 0.0, 4.0
     if stable(hi):

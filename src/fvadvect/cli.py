@@ -11,7 +11,13 @@ import warnings
 
 import numpy as np
 
-from .analysis import max_stable_sigma, phase_dissipation_curve, stability_table
+from .analysis import (
+    STABILITY_TOL,
+    max_amplification,
+    phase_dissipation_curve,
+    phase_modes,
+    stability_table,
+)
 from .driver import NumericsError, integrate
 from .grid import Grid
 from .problems import (
@@ -153,11 +159,11 @@ def cmd_run(args):
     velocity = make_velocity(args.velocity, grid)
     scheme = scheme_coefficients(args.scheme)
     order = args.order if args.order is not None else default_product_order(scheme)
-    sigma_max = max_stable_sigma(scheme, grid.dim, n_beta=256, tol=1e-3)
-    if args.sigma > sigma_max + 1e-3:
+    growth = max_amplification(phase_modes(scheme, grid.dim), args.sigma)
+    if growth > 1.0 + STABILITY_TOL:
         warnings.warn(
-            f"sigma={args.sigma} exceeds the stability bound "
-            f"~{sigma_max:.3f} for {args.scheme} in {grid.dim}D",
+            f"sigma={args.sigma} exceeds the stability bound for {args.scheme} "
+            f"in {grid.dim}D (max |g| = {growth:.4f})",
             stacklevel=1,
         )
     spec = standard_problem(args.ic, args.velocity, grid, radius=args.radius)

@@ -6,7 +6,7 @@ import numpy as np
 
 from .fct import fct_advance
 from .grid import conserved_sum
-from .schemes import default_product_order, scheme_coefficients
+from .schemes import default_product_order, face_flow, scheme_coefficients
 from .velocity import cell_average_velocity, face_average_velocity, max_speed
 
 
@@ -59,10 +59,12 @@ def integrate(
     """Advance ``q0`` to ``t_final`` at the given CFL number.
 
     The step size is sigma * h / max_speed, with the last step shrunk to
-    land exactly on ``t_final`` (the effective CFL only decreases).  When
-    ``collect_eta_stats`` is set, each step appends
-    (min eta, mean eta, fraction of faces with eta < 1).  ``on_step`` is
-    called as ``on_step(step_index, time, field)`` after every step.
+    land exactly on ``t_final`` (the effective CFL only decreases).  The
+    velocity-only part of the face fluxes (``schemes.face_flow``) is
+    computed once, before the first step.  When ``collect_eta_stats`` is
+    set, each step appends (min eta, mean eta, fraction of faces with
+    eta < 1).  ``on_step`` is called as ``on_step(step_index, time, field)``
+    after every step.
     """
     if isinstance(scheme, str):
         scheme = scheme_coefficients(scheme)
@@ -73,7 +75,7 @@ def integrate(
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
 
-    u_faces = face_average_velocity(velocity, grid)
+    flow = face_flow(face_average_velocity(velocity, grid), grid, order)
     u_cell = cell_average_velocity(velocity, grid)
     speed = max_speed(velocity, grid)
     dt = sigma * grid.h / speed
@@ -95,7 +97,7 @@ def integrate(
         step_dt = dt if step < n_steps else t_final - t
         step_sigma = speed * step_dt / grid.h
         q, etas = fct_advance(
-            q, u_faces, u_cell, step_dt, step_sigma, scheme, order,
+            q, flow, u_cell, step_dt, step_sigma, scheme,
             limiter=limiter, preconstraint=preconstraint, force_eta=force_eta,
         )
         if not np.all(np.isfinite(q.interior)):

@@ -32,6 +32,7 @@ CONSTANCY_TOL = 1e-14
 # bounds around them lets roundoff- and wake-level noise creep past the
 # hard windowed bounds step after step.
 CURVATURE_FLOOR_REL = 1e-6
+LIMITER_MODES = ("on", "off", "off-low")
 
 
 def second_differences(q):
@@ -338,39 +339,50 @@ def hybridize(A, R_in, R_out, grid):
 
 def fct_advance(
     qn,
-    u_faces,
+    flow,
     u_cell,
     dt,
     sigma,
     scheme,
-    order,
     limiter="on",
     preconstraint=True,
     force_eta=None,
 ):
     """One full time step.  Returns ``(q_new, etas)``.
 
+    ``flow`` is the run's ``FaceFlow`` (face velocities, upwind signs and
+    product-rule weights, see ``schemes.face_flow``).
+
     limiter="on"       hybridized update (the default method)
     limiter="off"      pure unlimited high-order update
     limiter="off-low"  pure CTU update (diagnostic)
 
     ``force_eta`` overrides the computed hybridization coefficient with a
-    constant (0 recovers CTU bitwise, 1 with ``preconstraint=False``
-    recovers the high-order update to roundoff).
+    constant in [0, 1] (0 recovers CTU bitwise, 1 with
+    ``preconstraint=False`` recovers the high-order update to roundoff).
+    Both arguments are checked before any flux is computed.
     """
+    if limiter not in LIMITER_MODES:
+        raise ValueError(
+            f"unknown limiter mode {limiter!r}; expected one of {', '.join(LIMITER_MODES)}"
+        )
+    if force_eta is not None and not 0.0 <= force_eta <= 1.0:
+        raise ValueError(f"force_eta must lie in [0, 1], got {force_eta!r}")
     grid = qn.grid
+    u_faces = flow.u_faces
     if limiter == "off-low":
         F_low = ctu_fluxes(qn, u_faces, dt, grid)
         return low_order_update(qn, F_low, dt), None
-    q_high, F_high = rk4_high_order_step(qn, u_faces, dt, scheme, order)
+    q_high, F_high = rk4_high_order_step(qn, flow, dt, scheme)
     if limiter == "off":
         return q_high, None
-    if limiter != "on":
-        raise ValueError(f"unknown limiter mode {limiter!r}")
+    del q_high
 
     F_low = ctu_fluxes(qn, u_faces, dt, grid)
     q_td = low_order_update(qn, F_low, dt)
     A = antidiffusive(F_high, F_low)
+    # the bounds and flags phases below set the step's memory peak
+    del F_high, F_low
     d2q = second_differences(qn)
     if preconstraint:
         A = preconstrain(A, q_td, d2q, u_faces, dt, grid)

@@ -1,72 +1,53 @@
 """Method-of-lines high-order update: classic four-stage Runge-Kutta.
 
 Each stage evaluates unlimited spatial fluxes from its own ghost-filled
-stage state; the stage fluxes are retained and combined with the familiar
-1/6 (1, 2, 2, 1) weights into a single high-order face flux so the update
-can also be written in conservation form.
+stage state.  Everything those fluxes need from the frozen velocity (the
+upwind orientation and the product-rule weights) comes precomputed in a
+``FaceFlow``, so a stage does only work that depends on q.  The stage
+fluxes are summed as they come with the familiar 1/6 (1, 2, 2, 1) weights
+into a single high-order face flux, so the update can also be written in
+conservation form.
 """
 
-import numpy as np
-
-from .grid import CellField, fill_ghosts, flux_divergence
+from .grid import CellField, flux_divergence
 from .schemes import face_interpolate, product_rule_flux
 
+RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 
-def spatial_flux(q, u_faces, scheme, order):
+
+def spatial_flux(q, flow, scheme):
     """Per-dimension face fluxes of q*u for one solution state."""
-    grid = q.grid
-    out = []
-    for d in range(grid.dim):
-        qf = face_interpolate(q, scheme, d, u_faces[d])
-        out.append(product_rule_flux(qf, u_faces[d], order, d, grid))
-    return tuple(out)
+    return tuple(
+        product_rule_flux(face_interpolate(q, scheme, d, flow), flow, d)
+        for d in range(q.grid.dim)
+    )
 
 
-def rk4_high_order_step(qn, u_faces, dt, scheme, order):
+def rk4_high_order_step(qn, flow, dt, scheme):
     """One unlimited high-order step.
 
     Returns ``(q_high, F_high)``: the updated field and the combined
     high-order face fluxes whose divergence reproduces the same update.
-    No limiting happens at any stage.
+    No limiting happens at any stage.  Each stage flux is added into one
+    accumulator per axis in the order of ``(F0 + 2 F1 + 2 F2 + F3) / 6``,
+    so the combined flux equals that expression bitwise.
     """
     grid = qn.grid
     q0 = qn.interior.copy()
-    stage_fluxes = []
     state = qn
-    for stage in range(4):
-        F = spatial_flux(state, u_faces, scheme, order)
-        stage_fluxes.append(F)
-        if stage == 3:
-            break
-        k = -flux_divergence(grid, F, dt)
-        frac = 0.5 if stage < 2 else 1.0
-        state = CellField.from_interior(grid, q0 + frac * k)
-    F_high = tuple(
-        (stage_fluxes[0][d] + 2.0 * stage_fluxes[1][d] + 2.0 * stage_fluxes[2][d]
-         + stage_fluxes[3][d]) / 6.0
-        for d in range(grid.dim)
-    )
+    for stage, weight in enumerate(RK4_WEIGHTS):
+        F = spatial_flux(state, flow, scheme)
+        if stage < 3:
+            frac = 0.5 if stage < 2 else 1.0
+            k = flux_divergence(grid, F, dt)
+            state = CellField.from_interior(grid, q0 - frac * k)
+        if stage == 0:
+            F_high = list(F)
+        else:
+            for acc, f in zip(F_high, F):
+                acc += weight * f
+    for acc in F_high:
+        acc /= 6.0
+    F_high = tuple(F_high)
     q_high = CellField.from_interior(grid, q0 - flux_divergence(grid, F_high, dt))
     return q_high, F_high
-
-
-def rk4_stage_combination(qn, u_faces, dt, scheme, order):
-    """Update via the k-weighted stage combination (cross-check path).
-
-    Algebraically identical to applying the divergence of the combined
-    flux; kept separate so tests can verify the two formulations agree.
-    """
-    grid = qn.grid
-    q0 = qn.interior.copy()
-    ks = []
-    state = qn
-    for stage in range(4):
-        F = spatial_flux(state, u_faces, scheme, order)
-        k = -flux_divergence(grid, F, dt)
-        ks.append(k)
-        if stage == 3:
-            break
-        frac = 0.5 if stage < 2 else 1.0
-        state = CellField.from_interior(grid, q0 + frac * k)
-    qnew = q0 + (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]) / 6.0
-    return CellField.from_interior(grid, qnew)

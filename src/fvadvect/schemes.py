@@ -8,10 +8,15 @@ The coefficient tables below are exact rationals; upwind stencils are given
 in the orientation for positive normal velocity and mirrored about the face
 (s -> 1-s) when the face velocity is negative.  Centered stencils are
 symmetric about the face, so mirroring leaves them unchanged.
+
+The velocity is frozen for a run, so what the face fluxes need from it (the
+upwind orientation per axis and the product-rule weights) is computed once
+into a ``FaceFlow`` and reused by every stage of every step.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,56 +79,134 @@ def _axis_offset(d, m, dim):
     return tuple(off)
 
 
-def face_interpolate(q, scheme, d, u_face=None):
+def upwind_sign(u_face):
+    """1 when every face has u >= 0, -1 when every face has u < 0, else 0."""
+    if np.all(u_face >= 0.0):
+        return 1
+    if np.all(u_face < 0.0):
+        return -1
+    return 0
+
+
+# The order-4 and order-6 product-rule corrections are symmetric bilinear
+# forms in the undivided transverse differences of the two factors,
+#     D1 = f[+1] - f[-1],  D2 = f[+2] - f[-2],  L = f[+1] + f[-1] - 2 f.
+# These coefficients are the exact expansion of the derivative forms that
+# ``product_rule_flux`` describes; every power of h cancels.
+_ORDER4_D1D1 = 1.0 / 48.0
+_ORDER6_D1D1 = 1373.0 / 34560.0
+_ORDER6_D1D2 = -389.0 / 69120.0
+_ORDER6_D2D2 = 25.0 / 27648.0
+_ORDER6_LL = 1.0 / 720.0
+
+
+class ProductWeights(NamedTuple):
+    """Weights of the product-rule correction along transverse ``axis``.
+
+    The correction is ``w1*D1(q) + w2*D2(q) + w0*L(q)``; order 4 has ``w1``
+    only, with ``w2`` and ``w0`` None.
+    """
+
+    axis: int
+    w1: np.ndarray
+    w2: Optional[np.ndarray] = None
+    w0: Optional[np.ndarray] = None
+
+
+def _differences(f, t):
+    up1, dn1 = np.roll(f, -1, t), np.roll(f, 1, t)
+    return up1 - dn1, np.roll(f, -2, t) - np.roll(f, 2, t), up1 + dn1 - 2.0 * f
+
+
+def product_rule_weights(u_face, order, d, grid):
+    """Product-rule weights of the face velocities normal to axis ``d``.
+
+    One ``ProductWeights`` per transverse axis.  When ``u_face`` does not
+    vary along ``d`` the weights are one broadcast row (length 1 along
+    ``d``).  A transverse axis whose weights are all exactly zero, as under
+    a constant velocity, is left out, so the flux there is exactly
+    ``q_face * u_face``.
+    """
+    if order not in (2, 4, 6):
+        raise ValueError(f"product rule order must be 2, 4 or 6, got {order}")
+    if order == 2 or grid.dim == 1:
+        return ()
+    row = u_face.take([0], axis=d)
+    u = row if np.all(u_face == row) else u_face
+    out = []
+    for t in range(grid.dim):
+        if t == d:
+            continue
+        e1, e2, el = _differences(u, t)
+        if order == 4:
+            w = ProductWeights(t, _ORDER4_D1D1 * e1)
+        else:
+            w = ProductWeights(
+                t,
+                _ORDER6_D1D1 * e1 + _ORDER6_D1D2 * e2,
+                _ORDER6_D1D2 * e1 + _ORDER6_D2D2 * e2,
+                _ORDER6_LL * el,
+            )
+        if any(np.any(a) for a in w[1:] if a is not None):
+            out.append(w)
+    return tuple(out)
+
+
+@dataclass(frozen=True, eq=False)
+class FaceFlow:
+    """What the face fluxes of one run need from the frozen velocity.
+
+    Per axis: the face velocities, their ``upwind_sign`` and their
+    ``product_rule_weights``.  ``face_flow`` builds it once per run.
+    """
+
+    u_faces: tuple
+    signs: tuple
+    weights: tuple
+
+
+def face_flow(u_faces, grid, order):
+    """The ``FaceFlow`` of per-axis face velocities for a product-rule order."""
+    return FaceFlow(
+        tuple(u_faces),
+        tuple(upwind_sign(u) for u in u_faces),
+        tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
+    )
+
+
+def _stencil_sum(q, scheme, d, mirrored):
+    dim = q.grid.dim
+    out = np.zeros(q.grid.shape)
+    for s, a in zip(scheme.offsets, scheme.coefficients):
+        out += a * q.shifted(_axis_offset(d, -s if mirrored else s - 1, dim))
+    return out
+
+
+def face_interpolate(q, scheme, d, flow=None):
     """Face values of the cell field ``q`` along axis ``d``.
 
     Face index k sits between cells k-1 and k, so the positive-velocity
     stencil reads cells (k-1)+s and the mirrored one reads cells k-s.
-    ``u_face`` selects the orientation per face for upwind schemes (ties at
-    u == 0 take the positive orientation); centered schemes ignore it.
+    Upwind schemes take the orientation from the ``FaceFlow``: where every
+    face along ``d`` has the same sign only that orientation is built,
+    otherwise it is chosen per face (ties at u == 0 take the positive
+    orientation).  Centered schemes ignore ``flow``.
     """
-    dim = q.grid.dim
-    coeffs = scheme.coefficients
-    plus = np.zeros(q.grid.shape)
-    for s, a in zip(scheme.offsets, coeffs):
-        plus += a * q.shifted(_axis_offset(d, s - 1, dim))
     if not scheme.is_upwind:
-        return plus
-    if u_face is None:
+        return _stencil_sum(q, scheme, d, False)
+    if flow is None:
         raise ValueError("upwind interpolation needs face velocities")
-    minus = np.zeros(q.grid.shape)
-    for s, a in zip(scheme.offsets, coeffs):
-        minus += a * q.shifted(_axis_offset(d, -s, dim))
-    return np.where(u_face >= 0.0, plus, minus)
+    sign = flow.signs[d]
+    if sign == 0:
+        return np.where(
+            flow.u_faces[d] >= 0.0,
+            _stencil_sum(q, scheme, d, False),
+            _stencil_sum(q, scheme, d, True),
+        )
+    return _stencil_sum(q, scheme, d, sign < 0)
 
 
-def _d1_c2(f, axis, h):
-    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
-
-
-def _d1_c4(f, axis, h):
-    return (
-        -np.roll(f, -2, axis)
-        + 8.0 * np.roll(f, -1, axis)
-        - 8.0 * np.roll(f, 1, axis)
-        + np.roll(f, 2, axis)
-    ) / (12.0 * h)
-
-
-def _d2_c2(f, axis, h):
-    return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
-
-
-def _d3_c2(f, axis, h):
-    return (
-        np.roll(f, -2, axis)
-        - 2.0 * np.roll(f, -1, axis)
-        + 2.0 * np.roll(f, 1, axis)
-        - np.roll(f, 2, axis)
-    ) / (2.0 * h ** 3)
-
-
-def product_rule_flux(q_face, u_face, order, d, grid):
+def product_rule_flux(q_face, flow, d):
     """Face average of q*u from the face averages of the factors.
 
     order 2:  plain product.
@@ -140,28 +223,19 @@ def product_rule_flux(q_face, u_face, order, d, grid):
     derivatives there are deconvolved by subtracting h^2/24 times the
     third difference; the h^4-term derivatives only need the point values
     to second order, where the offset is already below the truncation.
-    With no transverse axes (1D) every order reduces to the plain product.
+
+    Each correction is linear in ``q_face`` with coefficients that depend on
+    the velocity alone, so it is applied in weights form,
+    ``q_face*u_face + w1*D1(q) + w2*D2(q) + w0*L(q)`` per transverse axis,
+    with the weights of ``flow`` (see ``product_rule_weights``).  With no
+    transverse axes (1D), at order 2, or where the weights vanish, the flux
+    is exactly ``q_face * u_face``.
     """
-    if order not in (2, 4, 6):
-        raise ValueError(f"product rule order must be 2, 4 or 6, got {order}")
-    flux = q_face * u_face
-    if order == 2 or grid.dim == 1:
-        return flux
-    h = grid.h
-    for t in range(grid.dim):
-        if t == d:
-            continue
-        if order == 4:
-            flux += (h * h / 12.0) * _d1_c2(q_face, t, h) * _d1_c2(u_face, t, h)
-        else:
-            dq3 = _d3_c2(q_face, t, h)
-            du3 = _d3_c2(u_face, t, h)
-            dq1 = _d1_c4(q_face, t, h) - (h * h / 24.0) * dq3
-            du1 = _d1_c4(u_face, t, h) - (h * h / 24.0) * du3
-            flux += (h * h / 12.0) * dq1 * du1
-            flux += (h ** 4 / 1440.0) * (
-                3.0 * dq3 * _d1_c2(u_face, t, h)
-                + 3.0 * du3 * _d1_c2(q_face, t, h)
-                + 2.0 * _d2_c2(u_face, t, h) * _d2_c2(q_face, t, h)
-            )
+    flux = q_face * flow.u_faces[d]
+    for t, w1, w2, w0 in flow.weights[d]:
+        up1, dn1 = np.roll(q_face, -1, t), np.roll(q_face, 1, t)
+        flux += w1 * (up1 - dn1)
+        if w2 is not None:
+            flux += w2 * (np.roll(q_face, -2, t) - np.roll(q_face, 2, t))
+            flux += w0 * (up1 + dn1 - 2.0 * q_face)
     return flux

@@ -22,7 +22,7 @@ from fvadvect.problems import (
     max_norm_error,
     standard_problem,
 )
-from fvadvect.schemes import SCHEME_NAMES, scheme_coefficients
+from fvadvect.schemes import SCHEME_NAMES, face_flow, scheme_coefficients
 from fvadvect.velocity import (
     ConstantDiagonal,
     cell_average_velocity,
@@ -197,12 +197,13 @@ def test_criterion_06_degeneracy_oracles(velocity):
     s = scheme_coefficients("u5")
     dt = 0.8 * grid.h / max(1.0, np.pi)
 
-    q_high, _ = rk4_high_order_step(q, uf, dt, s, 4)
-    q_one, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4, force_eta=1.0, preconstraint=False)
+    flow = face_flow(uf, grid, 4)
+    q_high, _ = rk4_high_order_step(q, flow, dt, s)
+    q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
     high_gap = float(np.max(np.abs(q_one.interior - q_high.interior)))
 
     q_td = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt)
-    q_zero, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4, force_eta=0.0)
+    q_zero, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=0.0)
     low_bitwise = np.array_equal(q_zero.interior, q_td.interior)
 
     ok = high_gap <= 1e-13 and low_bitwise

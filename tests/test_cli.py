@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,20 @@ class TestValidation:
                 "--sigma", "1.9", "--t-final", "0.0", "--out", str(out),
             ])
         assert code == 0
+
+    @pytest.mark.parametrize("sigma, warns", [("0.8", True), ("0.79", False)])
+    def test_u9_2d_stability_bound(self, tmp_path, sigma, warns):
+        # u9's 2D limit is 0.7992: at 0.8 the worst mode grows by 1.0089
+        # per step, at 0.79 every mode is stable
+        args = [
+            "run", "--ic", "square", "--scheme", "u9", "--dim", "2", "--n", "16",
+            "--sigma", sigma, "--t-final", "0.0", "--out", str(tmp_path / "sol.csv"),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(args)
+        assert code == 0
+        assert any("stability bound" in str(w.message) for w in caught) == warns
 
 
 class TestRun:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fvadvect import fct
 from fvadvect.fct import (
     antidiffusive,
     bounds_stencil_size,
@@ -18,7 +19,7 @@ from fvadvect.grid import CellField, Grid, conserved_sum
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.problems import initial_condition, standard_problem
-from fvadvect.schemes import scheme_coefficients
+from fvadvect.schemes import face_flow, scheme_coefficients
 from fvadvect.velocity import (
     ConstantDiagonal,
     cell_average_velocity,
@@ -101,7 +102,7 @@ class TestPreconstrain:
     def test_matches_oracle_on_square_first_step(self):
         g, v, uf, uc, q, s = square_setup()
         dt = 0.8 * g.h
-        _, FH = rk4_high_order_step(q, uf, dt, s, 4)
+        _, FH = rk4_high_order_step(q, face_flow(uf, g, 4), dt, s)
         FL = ctu_fluxes(q, uf, dt, g)
         q_td = low_order_update(q, FL, dt)
         A = antidiffusive(FH, FL)
@@ -127,7 +128,7 @@ class TestPreconstrain:
     def test_output_unchanged_or_zero(self):
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
-        _, FH = rk4_high_order_step(q, uf, dt, s, 4)
+        _, FH = rk4_high_order_step(q, face_flow(uf, g, 4), dt, s)
         FL = ctu_fluxes(q, uf, dt, g)
         q_td = low_order_update(q, FL, dt)
         A = antidiffusive(FH, FL)
@@ -408,8 +409,9 @@ class TestFctAdvance:
         q = CellField.from_interior(g, rng.random((32, 32)))
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
-        q_high, _ = rk4_high_order_step(q, uf, dt, s, 4)
-        q_forced, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4, force_eta=1.0, preconstraint=False)
+        flow = face_flow(uf, g, 4)
+        q_high, _ = rk4_high_order_step(q, flow, dt, s)
+        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
         assert np.max(np.abs(q_forced.interior - q_high.interior)) <= 1e-13
 
     def test_eta_zero_matches_ctu_bitwise(self):
@@ -421,8 +423,9 @@ class TestFctAdvance:
         q = CellField.from_interior(g, rng.random((32, 32)))
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
+        flow = face_flow(uf, g, 4)
         q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt)
-        q_forced, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4, force_eta=0.0)
+        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=0.0)
         assert np.array_equal(q_forced.interior, q_td.interior)
 
     def test_limiter_off_modes(self):
@@ -433,31 +436,49 @@ class TestFctAdvance:
         q = CellField.from_interior(g, rng.random(32))
         s = scheme_coefficients("u9")
         dt = 0.8 * g.h
-        q_off, etas = fct_advance(q, uf, uc, dt, 0.8, s, 6, limiter="off")
+        flow = face_flow(uf, g, 6)
+        q_off, etas = fct_advance(q, flow, uc, dt, 0.8, s, limiter="off")
         assert etas is None
-        q_high, _ = rk4_high_order_step(q, uf, dt, s, 6)
+        q_high, _ = rk4_high_order_step(q, flow, dt, s)
         assert np.array_equal(q_off.interior, q_high.interior)
-        q_low, etas = fct_advance(q, uf, uc, dt, 0.8, s, 6, limiter="off-low")
+        q_low, etas = fct_advance(q, flow, uc, dt, 0.8, s, limiter="off-low")
         assert etas is None
         q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt)
         assert np.array_equal(q_low.interior, q_td.interior)
         with pytest.raises(ValueError):
-            fct_advance(q, uf, uc, dt, 0.8, s, 6, limiter="sometimes")
+            fct_advance(q, flow, uc, dt, 0.8, s, limiter="sometimes")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"limiter": "sometimes"}, {"force_eta": 1.5}, {"force_eta": -0.25},
+         {"force_eta": float("nan")}],
+    )
+    def test_bad_arguments_rejected_before_flux_work(self, monkeypatch, bad):
+        def no_flux_work(*args, **kwargs):
+            raise AssertionError("flux work started before the arguments were checked")
+
+        monkeypatch.setattr(fct, "rk4_high_order_step", no_flux_work)
+        monkeypatch.setattr(fct, "ctu_fluxes", no_flux_work)
+        g, v, uf, uc, q, s = square_setup(n=32)
+        with pytest.raises(ValueError):
+            fct_advance(q, face_flow(uf, g, 4), uc, 0.8 * g.h, 0.8, s, **bad)
 
     def test_eta_in_unit_interval(self):
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
+        flow = face_flow(uf, g, 4)
         for _ in range(5):
-            q, etas = fct_advance(q, uf, uc, dt, 0.8, s, 4)
+            q, etas = fct_advance(q, flow, uc, dt, 0.8, s)
             for eta in etas:
                 assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_conservation_each_step(self):
         g, v, uf, uc, q, s = square_setup(n=64, dim=2)
         dt = 0.8 * g.h
+        flow = face_flow(uf, g, 4)
         before = conserved_sum(q)
         for _ in range(3):
-            q, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4)
+            q, _ = fct_advance(q, flow, uc, dt, 0.8, s)
             assert conserved_sum(q) == pytest.approx(before, rel=1e-13)
 
     def test_bounds_enforced_outside_corrections(self):
@@ -465,11 +486,12 @@ class TestFctAdvance:
         # the update stays inside the windowed bounds
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
+        flow = face_flow(uf, g, 4)
         for _ in range(10):
             q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt)
             q_max, q_min, _ = compute_bounds(q, q_td, uc, 0.8)
             flags = smooth_extremum_flags(q_td) & smooth_extremum_flags(q)
-            q_new, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4)
+            q_new, _ = fct_advance(q, flow, uc, dt, 0.8, s)
             plain = ~flags
             assert np.all(q_new.interior[plain] <= q_max[plain] + 1e-12)
             assert np.all(q_new.interior[plain] >= q_min[plain] - 1e-12)
@@ -478,7 +500,8 @@ class TestFctAdvance:
     def test_square_wave_stays_bounded(self):
         g, v, uf, uc, q, s = square_setup(n=128, scheme="u5")
         dt = 0.8 * g.h
+        flow = face_flow(uf, g, 4)
         for _ in range(40):  # quarter transit
-            q, _ = fct_advance(q, uf, uc, dt, 0.8, s, 4)
+            q, _ = fct_advance(q, flow, uc, dt, 0.8, s)
         assert q.interior.min() >= -1e-10
         assert q.interior.max() <= 1.0 + 1e-10

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from fvadvect.grid import CellField, Grid, conserved_sum
-from fvadvect.highorder import rk4_high_order_step, rk4_stage_combination, spatial_flux
-from fvadvect.schemes import SCHEME_NAMES, default_product_order, scheme_coefficients
-from fvadvect.velocity import ConstantDiagonal, face_average_velocity
+from fvadvect import highorder
+from fvadvect.grid import CellField, Grid, conserved_sum, flux_divergence
+from fvadvect.highorder import rk4_high_order_step, spatial_flux
+from fvadvect.schemes import (
+    SCHEME_NAMES,
+    default_product_order,
+    face_flow,
+    product_rule_flux,
+    scheme_coefficients,
+)
+from fvadvect.velocity import (
+    ConstantDiagonal,
+    SolidBodyRotation,
+    face_average_velocity,
+)
 
 
 def sine_cell_averages(grid, k=1):
@@ -35,13 +46,120 @@ def fft_rk4_oracle(q0, nsteps, sigma, scheme):
     return np.real(np.fft.ifftn(np.fft.fftn(q0) * g**nsteps))
 
 
+def _d1_c2(f, axis, h):
+    return (np.roll(f, -1, axis) - np.roll(f, 1, axis)) / (2.0 * h)
+
+
+def _d1_c4(f, axis, h):
+    return (
+        -np.roll(f, -2, axis)
+        + 8.0 * np.roll(f, -1, axis)
+        - 8.0 * np.roll(f, 1, axis)
+        + np.roll(f, 2, axis)
+    ) / (12.0 * h)
+
+
+def _d2_c2(f, axis, h):
+    return (np.roll(f, -1, axis) - 2.0 * f + np.roll(f, 1, axis)) / (h * h)
+
+
+def _d3_c2(f, axis, h):
+    return (
+        np.roll(f, -2, axis)
+        - 2.0 * np.roll(f, -1, axis)
+        + 2.0 * np.roll(f, 1, axis)
+        - np.roll(f, 2, axis)
+    ) / (2.0 * h ** 3)
+
+
+def derivative_product_rule(q_face, u_face, order, d, grid):
+    """Reference: the product rule in its derivative form.
+
+    order 4 adds (h^2/12) dq du per transverse axis with 2nd-order first
+    derivatives; order 6 uses deconvolved 4th-order first derivatives in
+    the h^2 term and adds the h^4 term of third/first and second/second
+    derivative pairs.
+    """
+    flux = q_face * u_face
+    if order == 2 or grid.dim == 1:
+        return flux
+    h = grid.h
+    for t in range(grid.dim):
+        if t == d:
+            continue
+        if order == 4:
+            flux += (h * h / 12.0) * _d1_c2(q_face, t, h) * _d1_c2(u_face, t, h)
+        else:
+            dq3 = _d3_c2(q_face, t, h)
+            du3 = _d3_c2(u_face, t, h)
+            dq1 = _d1_c4(q_face, t, h) - (h * h / 24.0) * dq3
+            du1 = _d1_c4(u_face, t, h) - (h * h / 24.0) * du3
+            flux += (h * h / 12.0) * dq1 * du1
+            flux += (h ** 4 / 1440.0) * (
+                3.0 * dq3 * _d1_c2(u_face, t, h)
+                + 3.0 * du3 * _d1_c2(q_face, t, h)
+                + 2.0 * _d2_c2(u_face, t, h) * _d2_c2(q_face, t, h)
+            )
+    return flux
+
+
+def rk4_stage_combination(qn, flow, dt, scheme):
+    """Reference: the update as the k-weighted RK4 stage combination.
+
+    Algebraically identical to applying the divergence of the combined
+    flux that ``rk4_high_order_step`` returns.
+    """
+    grid = qn.grid
+    q0 = qn.interior.copy()
+    ks = []
+    state = qn
+    for stage in range(4):
+        F = spatial_flux(state, flow, scheme)
+        k = -flux_divergence(grid, F, dt)
+        ks.append(k)
+        if stage == 3:
+            break
+        frac = 0.5 if stage < 2 else 1.0
+        state = CellField.from_interior(grid, q0 + frac * k)
+    qnew = q0 + (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3]) / 6.0
+    return CellField.from_interior(grid, qnew)
+
+
+class TestProductRuleWeights:
+    @pytest.mark.parametrize("order", (4, 6))
+    @pytest.mark.parametrize("velocity", ("rotation", "random"))
+    def test_matches_derivative_form(self, order, velocity):
+        rng = np.random.default_rng(20)
+        g = Grid(2, 32)
+        if velocity == "rotation":
+            uf = face_average_velocity(SolidBodyRotation(), g)
+        else:
+            uf = tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(2))
+        flow = face_flow(uf, g, order)
+        for d in range(2):
+            # rotation's normal velocity is constant along its own axis, so
+            # its weights are one broadcast row; random ones are full arrays
+            compact = tuple(1 if (ax == d and velocity == "rotation") else 32 for ax in range(2))
+            assert all(w.w1.shape == compact for w in flow.weights[d])
+            qf = rng.random(g.shape)
+            got = product_rule_flux(qf, flow, d)
+            want = derivative_product_rule(qf, uf[d], order, d, g)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_constant_velocity_drops_the_correction(self):
+        g = Grid(2, 16)
+        uf = face_average_velocity(ConstantDiagonal(components=(0.7, -1.3)), g)
+        for order in (2, 4, 6):
+            assert face_flow(uf, g, order).weights == ((), ())
+
+
 class TestSpatialFlux:
     def test_constant_field(self):
         g = Grid(2, 16)
         v = ConstantDiagonal(dim=2)
         uf = face_average_velocity(v, g)
         q = CellField.from_interior(g, np.full((16, 16), 2.5))
-        fx, fy = spatial_flux(q, uf, scheme_coefficients("u5"), 4)
+        fx, fy = spatial_flux(q, face_flow(uf, g, 4), scheme_coefficients("u5"))
         assert np.allclose(fx, 2.5, rtol=0, atol=1e-14)
         assert np.allclose(fy, 2.5, rtol=0, atol=1e-14)
 
@@ -49,7 +167,7 @@ class TestSpatialFlux:
         g = Grid(1, 16)
         uf = (np.zeros(16),)
         q = CellField.from_interior(g, np.random.default_rng(0).random(16))
-        (f,) = spatial_flux(q, uf, scheme_coefficients("u9"), 6)
+        (f,) = spatial_flux(q, face_flow(uf, g, 6), scheme_coefficients("u9"))
         assert np.all(f == 0.0)
 
     def test_sine_face_flux_fifth_order(self):
@@ -59,7 +177,8 @@ class TestSpatialFlux:
         def err(n):
             g = Grid(1, n)
             q = CellField.from_interior(g, sine_cell_averages(g))
-            (f,) = spatial_flux(q, (np.ones(n),), scheme_coefficients("u5"), 4)
+            flow = face_flow((np.ones(n),), g, 4)
+            (f,) = spatial_flux(q, flow, scheme_coefficients("u5"))
             exact = np.sin(2 * np.pi * g.face_coords(0))
             return np.max(np.abs(f - exact))
 
@@ -72,7 +191,9 @@ class TestRK4Step:
         g = Grid(2, 16)
         uf = face_average_velocity(ConstantDiagonal(dim=2), g)
         q = CellField.from_interior(g, np.full((16, 16), 1.25))
-        q_high, F_high = rk4_high_order_step(q, uf, 0.8 * g.h, scheme_coefficients("u5"), 4)
+        q_high, F_high = rk4_high_order_step(
+            q, face_flow(uf, g, 4), 0.8 * g.h, scheme_coefficients("u5")
+        )
         assert np.array_equal(q_high.interior, q.interior)
         assert np.allclose(F_high[0], 1.25, rtol=0, atol=1e-14)
 
@@ -80,13 +201,13 @@ class TestRK4Step:
         # 50 steps of the real time loop against exact modal propagation
         g = Grid(1, 64)
         s = scheme_coefficients("u5")
-        uf = (np.ones(64),)
+        flow = face_flow((np.ones(64),), g, 4)
         sigma = 0.8
         dt = sigma * g.h
         q = CellField.from_interior(g, sine_cell_averages(g, k=3))
         q0 = q.interior.copy()
         for _ in range(50):
-            q, _ = rk4_high_order_step(q, uf, dt, s, 4)
+            q, _ = rk4_high_order_step(q, flow, dt, s)
         oracle = fft_rk4_oracle(q0, 50, sigma, s)
         assert np.max(np.abs(q.interior - oracle)) <= 1e-12
 
@@ -97,12 +218,13 @@ class TestRK4Step:
         g = Grid(2, 32)
         s = scheme_coefficients("u9")
         uf = face_average_velocity(ConstantDiagonal(dim=2), g)
+        flow = face_flow(uf, g, default_product_order(s))
         sigma = 0.4
         dt = sigma * g.h
         q0 = np.random.default_rng(3).random((32, 32))
         q = CellField.from_interior(g, q0)
         for _ in range(10):
-            q, _ = rk4_high_order_step(q, uf, dt, s, default_product_order(s))
+            q, _ = rk4_high_order_step(q, flow, dt, s)
         oracle = fft_rk4_oracle(q0, 10, sigma, s)
         assert np.max(np.abs(q.interior - oracle)) <= 1e-12
 
@@ -115,7 +237,7 @@ class TestRK4Step:
             s = scheme_coefficients(name)
             dt = 0.8 * g.h
             q = CellField.from_interior(g, sine_cell_averages(g))
-            q1, _ = rk4_high_order_step(q, (np.ones(n),), dt, s, 4)
+            q1, _ = rk4_high_order_step(q, face_flow((np.ones(n),), g, 4), dt, s)
             edges = g.lo + np.arange(n + 1) * g.h - dt
             anti = -np.cos(2 * np.pi * edges) / (2 * np.pi)
             exact = np.diff(anti) / g.h
@@ -123,13 +245,37 @@ class TestRK4Step:
 
         assert err(32) / err(64) >= 16.0
 
+    def test_streamed_sum_matches_stage_formula(self, monkeypatch):
+        # the combined flux equals (F0 + 2 F1 + 2 F2 + F3) / 6 of the four
+        # stage fluxes bitwise
+        stages = []
+
+        def recorded(*args):
+            F = spatial_flux(*args)
+            stages.append(tuple(f.copy() for f in F))
+            return F
+
+        monkeypatch.setattr(highorder, "spatial_flux", recorded)
+        rng = np.random.default_rng(4)
+        g = Grid(2, 24)
+        uf = face_average_velocity(SolidBodyRotation(), g)
+        q = CellField.from_interior(g, rng.random((24, 24)))
+        flow = face_flow(uf, g, 6)
+        _, F_high = rk4_high_order_step(q, flow, 0.3 * g.h, scheme_coefficients("u9"))
+        assert len(stages) == 4
+        for d in range(2):
+            F0, F1, F2, F3 = (F[d] for F in stages)
+            assert np.array_equal(F_high[d], (F0 + 2.0 * F1 + 2.0 * F2 + F3) / 6.0)
+
     def test_conservation(self):
         rng = np.random.default_rng(1)
         g = Grid(2, 24)
         uf = face_average_velocity(ConstantDiagonal(dim=2), g)
         q = CellField.from_interior(g, rng.random((24, 24)))
         before = conserved_sum(q)
-        q1, _ = rk4_high_order_step(q, uf, 0.8 * g.h, scheme_coefficients("u9"), 6)
+        q1, _ = rk4_high_order_step(
+            q, face_flow(uf, g, 6), 0.8 * g.h, scheme_coefficients("u9")
+        )
         assert conserved_sum(q1) == pytest.approx(before, rel=1e-13)
 
     def test_flux_form_matches_stage_combination(self):
@@ -139,8 +285,9 @@ class TestRK4Step:
         q = CellField.from_interior(g, rng.random((24, 24)))
         dt = 0.7 * g.h
         s = scheme_coefficients("u7")
-        q_flux, _ = rk4_high_order_step(q, uf, dt, s, 6)
-        q_stage = rk4_stage_combination(q, uf, dt, s, 6)
+        flow = face_flow(uf, g, 6)
+        q_flux, _ = rk4_high_order_step(q, flow, dt, s)
+        q_stage = rk4_stage_combination(q, flow, dt, s)
         assert np.max(np.abs(q_flux.interior - q_stage.interior)) <= 1e-13
 
     def test_linearity(self):
@@ -152,10 +299,11 @@ class TestRK4Step:
         a, b = 2.0, -0.5
         q1 = rng.random(32)
         q2 = rng.random(32)
+        flow = face_flow(uf, g, 4)
         lhs, _ = rk4_high_order_step(
-            CellField.from_interior(g, a * q1 + b * q2), uf, dt, s, 4
+            CellField.from_interior(g, a * q1 + b * q2), flow, dt, s
         )
-        r1, _ = rk4_high_order_step(CellField.from_interior(g, q1), uf, dt, s, 4)
-        r2, _ = rk4_high_order_step(CellField.from_interior(g, q2), uf, dt, s, 4)
+        r1, _ = rk4_high_order_step(CellField.from_interior(g, q1), flow, dt, s)
+        r2, _ = rk4_high_order_step(CellField.from_interior(g, q2), flow, dt, s)
         rhs = a * r1.interior + b * r2.interior
         assert np.max(np.abs(lhs.interior - rhs)) <= 1e-13

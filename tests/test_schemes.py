@@ -7,6 +7,7 @@ from fvadvect.grid import CellField, Grid
 from fvadvect.schemes import (
     SCHEME_NAMES,
     default_product_order,
+    face_flow,
     face_interpolate,
     product_rule_flux,
     scheme_coefficients,
@@ -92,11 +93,40 @@ class TestPolynomialExactness:
         g = Grid(1, 16)
         q = CellField.from_interior(g, np.full(16, 1.7))
         u = np.ones(16)
-        faces = face_interpolate(q, scheme_coefficients(name), 0, u)
+        faces = face_interpolate(q, scheme_coefficients(name), 0, face_flow((u,), g, 2))
         assert np.allclose(faces, 1.7, rtol=0, atol=1e-14)
 
 
+def two_orientation_faces(q, scheme, d, u_face):
+    """Reference: both stencil orientations built, then chosen per face."""
+    plus = np.zeros(q.grid.shape)
+    minus = np.zeros(q.grid.shape)
+    for s, a in zip(scheme.offsets, scheme.coefficients):
+        plus += a * q.shifted(tuple(s - 1 if ax == d else 0 for ax in range(q.grid.dim)))
+        minus += a * q.shifted(tuple(-s if ax == d else 0 for ax in range(q.grid.dim)))
+    return np.where(u_face >= 0.0, plus, minus)
+
+
 class TestUpwindOrientation:
+    @pytest.mark.parametrize("name", ("u5", "u7", "u9"))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_uniform_sign_matches_two_orientations(self, name, sign):
+        # one orientation built for a uniform flow sign gives bitwise the
+        # per-face choice between both
+        rng = np.random.default_rng(14)
+        g = Grid(2, 24)
+        q = CellField.from_interior(g, rng.random((24, 24)))
+        u_faces = tuple(sign * rng.uniform(0.5, 2.0, (24, 24)) for _ in range(2))
+        if sign > 0:
+            u_faces[0][3, 5] = 0.0  # a tie takes the positive orientation
+        flow = face_flow(u_faces, g, 2)
+        assert flow.signs == (int(sign),) * 2
+        s = scheme_coefficients(name)
+        for d in range(2):
+            assert np.array_equal(
+                face_interpolate(q, s, d, flow), two_orientation_faces(q, s, d, u_faces[d])
+            )
+
     def test_mirror_symmetry(self):
         # reflecting the data about face 0 and flipping the velocity gives
         # the reflected face values exactly
@@ -106,9 +136,9 @@ class TestUpwindOrientation:
         for name in ("u5", "u7", "u9"):
             s = scheme_coefficients(name)
             q = CellField.from_interior(g, vals)
-            f_plus = face_interpolate(q, s, 0, np.ones(32))
+            f_plus = face_interpolate(q, s, 0, face_flow((np.ones(32),), g, 2))
             q_ref = CellField.from_interior(g, vals[::-1])
-            f_minus = face_interpolate(q_ref, s, 0, -np.ones(32))
+            f_minus = face_interpolate(q_ref, s, 0, face_flow((-np.ones(32),), g, 2))
             mirrored = np.roll(f_plus[::-1], 1)  # face k -> face -k mod n
             assert np.array_equal(f_minus, mirrored)
 
@@ -119,7 +149,7 @@ class TestUpwindOrientation:
         for name in ("c4", "c6"):
             s = scheme_coefficients(name)
             f1 = face_interpolate(q, s, 0)
-            f2 = face_interpolate(q, s, 0, -np.ones(32))
+            f2 = face_interpolate(q, s, 0, face_flow((-np.ones(32),), g, 2))
             assert np.array_equal(f1, f2)
 
     def test_upwind_requires_velocity(self):
@@ -133,10 +163,10 @@ class TestUpwindOrientation:
         g = Grid(1, 32)
         q = CellField.from_interior(g, rng.random(32))
         s = scheme_coefficients("u5")
-        f_plus = face_interpolate(q, s, 0, np.ones(32))
-        f_minus = face_interpolate(q, s, 0, -np.ones(32))
+        f_plus = face_interpolate(q, s, 0, face_flow((np.ones(32),), g, 2))
+        f_minus = face_interpolate(q, s, 0, face_flow((-np.ones(32),), g, 2))
         u_mixed = np.where(np.arange(32) % 2 == 0, 1.0, -1.0)
-        f_mixed = face_interpolate(q, s, 0, u_mixed)
+        f_mixed = face_interpolate(q, s, 0, face_flow((u_mixed,), g, 2))
         assert np.array_equal(f_mixed[::2], f_plus[::2])
         assert np.array_equal(f_mixed[1::2], f_minus[1::2])
 
@@ -145,8 +175,8 @@ class TestUpwindOrientation:
         g = Grid(1, 32)
         q = CellField.from_interior(g, rng.random(32))
         s = scheme_coefficients("u9")
-        f_plus = face_interpolate(q, s, 0, np.ones(32))
-        f_zero = face_interpolate(q, s, 0, np.zeros(32))
+        f_plus = face_interpolate(q, s, 0, face_flow((np.ones(32),), g, 2))
+        f_zero = face_interpolate(q, s, 0, face_flow((np.zeros(32),), g, 2))
         assert np.array_equal(f_plus, f_zero)
 
 
@@ -156,7 +186,7 @@ class TestProductRule:
         g = Grid(2, 16)
         qf = rng.random((16, 16))
         uf = rng.random((16, 16))
-        assert np.array_equal(product_rule_flux(qf, uf, 2, 0, g), qf * uf)
+        assert np.array_equal(product_rule_flux(qf, face_flow((uf, uf), g, 2), 0), qf * uf)
 
     def test_1d_reduces_to_product(self):
         rng = np.random.default_rng(12)
@@ -164,7 +194,7 @@ class TestProductRule:
         qf = rng.random(16)
         uf = rng.random(16)
         for order in (2, 4, 6):
-            assert np.array_equal(product_rule_flux(qf, uf, order, 0, g), qf * uf)
+            assert np.array_equal(product_rule_flux(qf, face_flow((uf,), g, order), 0), qf * uf)
 
     def test_transverse_constant_velocity(self):
         # constant u in the transverse direction kills every correction term
@@ -173,14 +203,14 @@ class TestProductRule:
         qf = rng.random((16, 16))
         uf = np.full((16, 16), 1.3)
         for order in (4, 6):
-            got = product_rule_flux(qf, uf, order, 0, g)
-            assert np.allclose(got, qf * uf, rtol=0, atol=1e-14)
+            got = product_rule_flux(qf, face_flow((uf, uf), g, order), 0)
+            assert np.array_equal(got, qf * uf)
 
     def test_invalid_order(self):
         g = Grid(2, 16)
         z = np.zeros((16, 16))
         with pytest.raises(ValueError):
-            product_rule_flux(z, z, 3, 0, g)
+            face_flow((z, z), g, 3)
 
     def test_correction_orders_converge(self):
         # face-averaged product of two smooth periodic factors: the order-4
@@ -206,7 +236,7 @@ class TestProductRule:
             u = lambda x, y: np.cos(2 * np.pi * y) + 3.0
             qf, uf = favg(q), favg(u)
             exact = favg(lambda x, y: q(x, y) * u(x, y))
-            got = product_rule_flux(qf, uf, order, 0, g)
+            got = product_rule_flux(qf, face_flow((uf, uf), g, order), 0)
             return float(np.max(np.abs(got - exact)))
 
         for order, min_rate in ((4, 3.5), (6, 5.0)):
