@@ -64,7 +64,8 @@ def integrate(
     computed once, before the first step.  When ``collect_eta_stats`` is
     set, each step appends (min eta, mean eta, fraction of faces with
     eta < 1).  ``on_step`` is called as ``on_step(step_index, time, field)``
-    after every step.
+    after every step.  A ``q0`` with a non-finite cell is rejected with a
+    ``ValueError`` naming the first such cell, before any step.
     """
     if isinstance(scheme, str):
         scheme = scheme_coefficients(scheme)
@@ -74,6 +75,12 @@ def integrate(
         raise ValueError("sigma must be positive")
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
+    non_finite = np.argwhere(~np.isfinite(q0.interior))
+    if non_finite.size:
+        cell = tuple(int(i) for i in non_finite[0])
+        raise ValueError(
+            f"initial condition is not finite at cell {cell}: {q0.interior[cell]}"
+        )
 
     flow = face_flow(face_average_velocity(velocity, grid), grid, order)
     u_cell = cell_average_velocity(velocity, grid)
@@ -81,12 +88,9 @@ def integrate(
     dt = sigma * grid.h / speed
 
     q = q0.copy()
+    conserved = conserved_sum(q0)
     result = RunResult(
-        field=q,
-        steps=0,
-        dt=dt,
-        conserved_initial=conserved_sum(q0),
-        conserved_final=conserved_sum(q0),
+        field=q, steps=0, dt=dt, conserved_initial=conserved, conserved_final=conserved
     )
     if t_final == 0.0:
         return result

@@ -6,21 +6,24 @@ bounds with parabolic relaxation at smooth extrema; oscillating-extremum
 flags; the P/Q/R least-upper-bound machinery; per-face hybridization
 coefficients; and the final conservative correction.
 
-Alignment reminders (see grid.py): face array index k along axis d lies
-between cells k-1 and k, so for quantities stored per cell,
+Alignment reminders (see grid.py): a neighbour at offset m along axis d is
+read as the view ``at(m)`` of a cell field's ``along(d)`` or of a
+``periodic_pad``, or as shift m of ``neighbour_apply``.  Face index k along
+axis d lies between cells k-1 and k, so at the face i+1/2 (k = i+1), for
+quantities stored per cell,
 
-    cell i   -> np.roll(c, 1, axis=d)        (the face's left cell)
-    cell i+1 -> c                            (the face's right cell)
-    cell i-1 -> np.roll(c, 2, axis=d)
-    cell i+2 -> np.roll(c, -1, axis=d)
+    cell i   -> offset -1       (the face's left cell)
+    cell i+1 -> offset 0        (the face's right cell)
+    cell i-1 -> offset -2
+    cell i+2 -> offset +1
 
-while for face quantities seen from cell i, the left face is the array
-itself and the right face is np.roll(F, -1, axis=d).
+while for face quantities seen from cell i, the left face is offset 0 and
+the right face offset +1.
 """
 
 import numpy as np
 
-from .grid import CellField, flux_divergence
+from .grid import Padded, fill_ghosts, flux_divergence, neighbour_apply, periodic_pad
 from .highorder import rk4_high_order_step
 from .loworder import ctu_fluxes, low_order_update
 
@@ -37,11 +40,14 @@ LIMITER_MODES = ("on", "off", "off-low")
 
 def second_differences(q):
     """Per-dimension centered second differences of a cell field."""
-    c = q.interior
-    return tuple(
-        np.roll(c, -1, axis=d) - 2.0 * c + np.roll(c, 1, axis=d)
-        for d in range(q.grid.dim)
-    )
+    out = []
+    for d in range(q.grid.dim):
+        c = q.along(d)
+        d2 = np.multiply(2.0, c.at(0))
+        np.subtract(c.at(1), d2, out=d2)
+        d2 += c.at(-1)
+        out.append(d2)
+    return tuple(out)
 
 
 def antidiffusive(F_high, F_low):
@@ -61,44 +67,55 @@ def preconstrain(A, q_td, d2q, u_faces, dt, grid):
          modified-equation dissipation across the face, (|u| h / 2) *
          (1 - sigma_face) * |avg of adjacent second differences|.
     """
-    td = q_td.interior
     out = []
     for d in range(grid.dim):
         Ad = A[d]
-        d2 = d2q[d]
-        d2_i = np.roll(d2, 1, axis=d)
-        d2_ip1 = d2
-        d2_im1 = np.roll(d2, 2, axis=d)
-        d2_ip2 = np.roll(d2, -1, axis=d)
-        jump = td - np.roll(td, 1, axis=d)  # q_td(i+1) - q_td(i) at face k
-        downgradient = Ad * jump <= 0.0
-        kinked = (
-            np.minimum(
-                np.minimum(d2_ip1 * d2_i, d2_i * d2_im1), d2_ip1 * d2_ip2
-            )
-            < 0.0
-        )
-        sigma_face = np.abs(u_faces[d]) * dt / grid.h
-        dissipation = (
-            (np.abs(u_faces[d]) * grid.h / 2.0)
-            * (1.0 - sigma_face)
-            * np.abs(d2_i + d2_ip1)
-            / 2.0
-        )
-        small = np.abs(Ad) <= dissipation
-        out.append(np.where(downgradient & kinked & small, 0.0, Ad))
+        td = q_td.along(d)
+        d2 = d2q[d]  # shifts -2, -1, 0, 1 are cells i-1, i, i+1, i+2
+        buf = np.subtract(td.at(0), td.at(-1))  # q_td(i+1) - q_td(i) at face k
+        buf *= Ad
+        zeroed = buf <= 0.0  # downgradient
+        kink = neighbour_apply(np.multiply, d2, 0, d2, -1, d, np.empty(grid.shape))
+        np.minimum(kink, neighbour_apply(np.multiply, d2, -1, d2, -2, d, buf), out=kink)
+        np.minimum(kink, neighbour_apply(np.multiply, d2, 0, d2, 1, d, buf), out=kink)
+        zeroed &= kink < 0.0
+        dissipation = np.abs(u_faces[d])
+        np.multiply(dissipation, dt, out=buf)
+        buf /= grid.h
+        np.subtract(1.0, buf, out=buf)  # 1 - sigma_face
+        dissipation *= grid.h
+        dissipation /= 2.0
+        dissipation *= buf
+        dissipation *= np.abs(neighbour_apply(np.add, d2, -1, d2, 0, d, buf), out=buf)
+        dissipation /= 2.0
+        zeroed &= np.abs(Ad, out=buf) <= dissipation
+        out.append(np.where(zeroed, 0.0, Ad))
     return tuple(out)
 
 
-def _window_extreme(c, radius, reducer):
-    """Separable box max/min over the (2*radius+1)^dim neighborhood."""
-    out = c
-    for axis in range(c.ndim):
-        acc = out
-        for m in range(1, radius + 1):
-            acc = reducer(acc, reducer(np.roll(out, m, axis), np.roll(out, -m, axis)))
-        out = acc
+def _line_extremes(c, radius, reducer, axis):
+    """Reductions of ``c`` over the windows [i-m, i+m] along ``axis``.
+
+    One array per m = 1..radius, each built from the one before.
+    """
+    acc, out = c, []
+    for m in range(1, radius + 1):
+        pair = neighbour_apply(reducer, c, -m, c, m, axis, np.empty_like(c))
+        acc = reducer(acc, pair, out=pair)
+        out.append(acc)
     return out
+
+
+def _box_extremes(c, radius, reducer):
+    """Separable box reductions over the (2m+1)^dim blocks, m = 1..radius.
+
+    The boxes share their first-axis pass: its radius-m line is the
+    radius-(m-1) line reduced with one more pair.
+    """
+    boxes = _line_extremes(c, radius, reducer, 0)
+    for axis in range(1, c.ndim):
+        boxes = [_line_extremes(b, m, reducer, axis)[-1] for m, b in enumerate(boxes, 1)]
+    return boxes
 
 
 def bounds_stencil_size(u_cell, sigma):
@@ -122,46 +139,49 @@ def compute_bounds(qn, q_td, u_cell, sigma):
     hi = np.maximum(qn.interior, q_td.interior)
     lo = np.minimum(qn.interior, q_td.interior)
     s = bounds_stencil_size(u_cell, sigma)
-    q_max = np.where(
-        s == 2,
-        _window_extreme(hi, 2, np.maximum),
-        _window_extreme(hi, 1, np.maximum),
-    )
-    q_min = np.where(
-        s == 2,
-        _window_extreme(lo, 2, np.minimum),
-        _window_extreme(lo, 1, np.minimum),
-    )
+    wide = s == 2
+    q_max, wide_max = _box_extremes(hi, 2, np.maximum)
+    np.copyto(q_max, wide_max, where=wide)
+    del wide_max
+    q_min, wide_min = _box_extremes(lo, 2, np.minimum)
+    np.copyto(q_min, wide_min, where=wide)
     return q_max, q_min, s
 
 
 def _directional_extremum_tests(q_td, grid):
-    """Per-dimension (sign_change, smooth, constant) masks.
+    """Per-dimension (smooth, constant) masks.
 
-    sign_change: the first difference changes sign within reach of cell i.
-    smooth: sign_change plus the total-variation test that rejects cells
-    whose neighborhood looks like a perturbed discontinuity.
+    smooth: the first difference changes sign within reach of cell i, and
+    the total-variation test does not reject the neighborhood as a
+    perturbed discontinuity.
     constant: the 3-point line along the dimension is flat to roundoff.
     """
-    td = q_td.interior
-    sign_change, smooth, constant = [], [], []
+    smooth, constant = [], []
     for d in range(grid.dim):
-        dq = td - np.roll(td, 1, axis=d)  # q(i) - q(i-1), cell aligned
-        dq_p1 = np.roll(dq, -1, axis=d)
-        dq_m1 = np.roll(dq, 1, axis=d)
-        dq_p2 = np.roll(dq, -2, axis=d)
-        flips = np.minimum(dq * dq_p1, dq_m1 * dq_p2) <= 0.0
-        dqtot = np.abs(np.roll(td, -2, axis=d) - np.roll(td, 2, axis=d))
-        tv = np.abs(dq_p2) + np.abs(dq_p1) + np.abs(dq) + np.abs(dq_m1)
-        sign_change.append(flips)
-        smooth.append(flips & (TV_SAFETY_FACTOR * dqtot < tv))
-        line_max = np.maximum(np.maximum(np.roll(td, 1, axis=d), td),
-                              np.roll(td, -1, axis=d))
-        line_min = np.minimum(np.minimum(np.roll(td, 1, axis=d), td),
-                              np.roll(td, -1, axis=d))
-        flat = np.maximum(np.abs(line_max - td), np.abs(line_min - td)) <= CONSTANCY_TOL
-        constant.append(flat)
-    return sign_change, smooth, constant
+        td = q_td.along(d)
+        c = td.at(0)
+        dq = periodic_pad(c - td.at(-1), 2, d)  # q(i) - q(i-1), cell aligned
+        prod = np.multiply(dq.at(0), dq.at(1))
+        buf = np.multiply(dq.at(-1), dq.at(2))
+        flips = np.minimum(prod, buf, out=prod) <= 0.0
+        dqtot = np.abs(np.subtract(td.at(2), td.at(-2), out=buf), out=buf)
+        dqtot *= TV_SAFETY_FACTOR
+        abs_dq = Padded(np.abs(dq.data), 2, d)
+        tv = np.add(abs_dq.at(2), abs_dq.at(1), out=prod)
+        tv += abs_dq.at(0)
+        tv += abs_dq.at(-1)
+        smooth.append(flips & (dqtot < tv))
+        del dq, abs_dq
+        line_max = np.maximum(td.at(-1), c, out=buf)
+        np.maximum(line_max, td.at(1), out=line_max)
+        line_min = np.minimum(td.at(-1), c, out=prod)
+        np.minimum(line_min, td.at(1), out=line_min)
+        line_max -= c
+        line_min -= c
+        flat = np.maximum(np.abs(line_max, out=line_max), np.abs(line_min, out=line_min),
+                          out=line_max)
+        constant.append(flat <= CONSTANCY_TOL)
+    return smooth, constant
 
 
 def smooth_extremum_flags(field):
@@ -176,7 +196,7 @@ def smooth_extremum_flags(field):
     states before its bounds are relaxed.
     """
     grid = field.grid
-    _, smooth, constant = _directional_extremum_tests(field, grid)
+    smooth, constant = _directional_extremum_tests(field, grid)
     any_smooth = smooth[0].copy()
     all_ok = smooth[0] | constant[0]
     for d in range(1, grid.dim):
@@ -194,12 +214,17 @@ def _limited_curvature(d2, axis):
     contributes no relaxation at all, and a consistent one contributes at
     most its mildest curvature.
     """
-    lo = np.roll(d2, 1, axis=axis)
-    hi = np.roll(d2, -1, axis=axis)
-    pos = (lo > 0) & (d2 > 0) & (hi > 0)
-    neg = (lo < 0) & (d2 < 0) & (hi < 0)
-    mag = np.minimum(np.abs(lo), np.minimum(np.abs(d2), np.abs(hi)))
-    return np.where(pos, mag, np.where(neg, -mag, 0.0))
+    p = periodic_pad(d2, 1, axis)
+    above = Padded(p.data > 0, 1, axis)
+    below = Padded(p.data < 0, 1, axis)
+    pos = above.at(-1) & above.at(0) & above.at(1)
+    neg = below.at(-1) & below.at(0) & below.at(1)
+    mag = Padded(np.abs(p.data, out=p.data), 1, axis)
+    out = np.minimum(mag.at(0), mag.at(1))
+    np.minimum(mag.at(-1), out, out=out)
+    np.negative(out, out=out, where=neg)
+    np.copyto(out, 0.0, where=~(pos | neg))
+    return out
 
 
 def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
@@ -233,20 +258,38 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
     any_concave = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.dim):
         d2lim = _limited_curvature(d2q[d], d)
-        slope = 0.5 * (np.roll(c, -1, axis=d) - np.roll(c, 1, axis=d))
-        usable = np.abs(d2lim) > floor
-        denom = np.where(usable, 2.0 * d2lim, 1.0)
-        xc = np.clip(np.where(usable, -slope / denom, 0.0), -0.5, 0.5)
-        q_ext = 0.5 * d2lim * xc * xc + slope * xc + c - d2lim / 24.0
+        cd = qn.along(d)
+        slope = np.subtract(cd.at(1), cd.at(-1))
+        slope *= 0.5
+        buf = np.abs(d2lim)
+        usable = buf > floor
+        denom = np.multiply(2.0, d2lim, out=buf)
+        np.copyto(denom, 1.0, where=~usable)
+        xc = np.negative(slope)
+        xc /= denom
+        np.copyto(xc, 0.0, where=~usable)
+        np.clip(xc, -0.5, 0.5, out=xc)
+        q_ext = np.multiply(0.5, d2lim, out=buf)
+        q_ext *= xc
+        q_ext *= xc
+        slope *= xc
+        q_ext += slope
+        q_ext += c
+        q_ext -= np.divide(d2lim, 24.0, out=slope)
         concave = usable & (d2lim <= 0.0)
-        ext_hi = np.maximum(ext_hi, np.where(concave, q_ext, -np.inf))
-        margin = np.maximum(margin, np.where(concave, np.abs(d2lim), 0.0))
+        np.copyto(q_ext, -np.inf, where=~concave)
+        np.maximum(ext_hi, q_ext, out=ext_hi)
+        curvature = np.abs(d2lim, out=d2lim)
+        np.copyto(curvature, 0.0, where=~concave)
+        np.maximum(margin, curvature, out=margin)
         any_concave |= concave
-    grow = np.minimum(
-        c + np.maximum(0.0, EXTREMUM_GROWTH_FACTOR * (ext_hi - c)),
-        q_max + margin,
-    )
-    new_max = np.where(flags & any_concave, np.maximum(q_max, grow), q_max)
+    grow = np.subtract(ext_hi, c, out=ext_hi)
+    grow *= EXTREMUM_GROWTH_FACTOR
+    np.maximum(0.0, grow, out=grow)
+    grow += c
+    np.minimum(grow, np.add(q_max, margin, out=margin), out=grow)
+    np.maximum(q_max, grow, out=grow)
+    new_max = np.where(flags & any_concave, grow, q_max)
     return new_max, q_min
 
 
@@ -274,17 +317,19 @@ def laplacian_flags(qn, d2q, q_td=None):
     for d in range(1, grid.dim):
         lap += d2q[d]
     lap /= grid.h * grid.h
-    lap_pos = _window_extreme(lap > 0.0, 1, np.logical_or)
-    lap_neg = _window_extreme(lap < 0.0, 1, np.logical_or)
-    probe = (q_td if q_td is not None else qn).interior
+    (lap_pos,) = _box_extremes(lap > 0.0, 1, np.logical_or)
+    (lap_neg,) = _box_extremes(lap < 0.0, 1, np.logical_or)
+    del lap
+    probe = q_td if q_td is not None else qn
     oscillating = np.zeros(grid.shape, dtype=bool)
     for d in range(grid.dim):
-        dq = probe - np.roll(probe, 1, axis=d)
-        bracket = dq * np.roll(dq, -1, axis=d) <= 0.0
-        pos = d2q[d] > 0.0
-        neg = d2q[d] < 0.0
-        any_pos = pos | np.roll(pos, 1, axis=d) | np.roll(pos, -1, axis=d)
-        any_neg = neg | np.roll(neg, 1, axis=d) | np.roll(neg, -1, axis=d)
+        p = probe.along(d)
+        dq = np.subtract(p.at(0), p.at(-1))
+        dq *= np.subtract(p.at(1), p.at(0))
+        bracket = dq <= 0.0
+        del dq
+        (any_pos,) = _line_extremes(d2q[d] > 0.0, 1, np.logical_or, d)
+        (any_neg,) = _line_extremes(d2q[d] < 0.0, 1, np.logical_or, d)
         oscillating |= bracket & any_pos & any_neg
     return oscillating & lap_pos & lap_neg
 
@@ -296,22 +341,28 @@ def compute_pqr(A, q_td, q_max, q_min, flagged, dt, grid):
     measures the headroom to the bound scaled by h/dt, and R caps their
     ratio at one (zero where no inflow/outflow, and zero at flagged cells).
     """
-    h, dim = grid.h, grid.dim
     P_in = np.zeros(grid.shape)
     P_out = np.zeros(grid.shape)
-    for d in range(dim):
-        left = A[d]
-        right = np.roll(A[d], -1, axis=d)
-        P_in += np.maximum(left, 0.0) - np.minimum(right, 0.0)
-        P_out += np.maximum(right, 0.0) - np.minimum(left, 0.0)
+    buf = np.empty(grid.shape)
+    for d in range(grid.dim):
+        into = np.maximum(A[d], 0.0)
+        out_of = np.minimum(A[d], 0.0)
+        # shift 0 is the cell's left face and shift 1 its right face
+        P_in += neighbour_apply(np.subtract, into, 0, out_of, 1, d, buf)
+        P_out += neighbour_apply(np.subtract, into, 1, out_of, 0, d, buf)
+    del into, out_of
     td = q_td.interior
-    Q_in = (q_max - td) * (h / dt)
-    Q_out = (td - q_min) * (h / dt)
-    R_in = np.where(P_in > 0.0, np.minimum(1.0, Q_in / np.where(P_in > 0.0, P_in, 1.0)), 0.0)
-    R_out = np.where(P_out > 0.0, np.minimum(1.0, Q_out / np.where(P_out > 0.0, P_out, 1.0)), 0.0)
-    R_in = np.where(flagged, 0.0, R_in)
-    R_out = np.where(flagged, 0.0, R_out)
-    return R_in, R_out
+    rates = []
+    for P, R in ((P_in, np.subtract(q_max, td)), (P_out, np.subtract(td, q_min))):
+        active = P > 0.0
+        np.copyto(P, 1.0, where=~active)
+        R *= grid.h / dt  # Q
+        R /= P
+        np.minimum(1.0, R, out=R)
+        active &= ~flagged
+        np.copyto(R, 0.0, where=~active)
+        rates.append(R)
+    return tuple(rates)
 
 
 def hybridize(A, R_in, R_out, grid):
@@ -323,16 +374,12 @@ def hybridize(A, R_in, R_out, grid):
     where the value is irrelevant.
     """
     etas = []
+    raising = np.empty(grid.shape)
     for d in range(grid.dim):
-        r_in_right = R_in
-        r_in_left = np.roll(R_in, 1, axis=d)
-        r_out_right = R_out
-        r_out_left = np.roll(R_out, 1, axis=d)
-        eta = np.where(
-            A[d] > 0.0,
-            np.minimum(r_in_right, r_out_left),
-            np.minimum(r_in_left, r_out_right),
-        )
+        # shift 0 is a face's right cell and shift -1 its left cell
+        eta = neighbour_apply(np.minimum, R_in, -1, R_out, 0, d, np.empty(grid.shape))
+        neighbour_apply(np.minimum, R_in, 0, R_out, -1, d, raising)
+        np.copyto(eta, raising, where=A[d] > 0.0)
         etas.append(eta)
     return tuple(etas)
 
@@ -399,8 +446,10 @@ def fct_advance(
     for eta in etas:
         if not np.all((eta >= 0.0) & (eta <= 1.0)):
             raise AssertionError("hybridization coefficient left [0, 1]")
-    limited = tuple(etas[d] * A[d] for d in range(grid.dim))
-    q_new = CellField.from_interior(
-        grid, q_td.interior - flux_divergence(grid, limited, dt)
-    )
-    return q_new, etas
+    for a, eta in zip(A, etas):
+        a *= eta
+    # q_td's storage is free once the bounds are built
+    q_new = q_td
+    interior = q_new.interior
+    interior -= flux_divergence(grid, A, dt)
+    return fill_ghosts(q_new), etas

@@ -9,8 +9,15 @@ Index conventions used throughout the package:
     LEFT face of cell ``k`` (between cells ``k-1`` and ``k``).  There are
     exactly ``n`` distinct faces per transverse row under periodicity, so a
     face value is stored once and shared by both adjacent cells.
-  - Cell ``i``'s right face along ``d`` is therefore face index ``(i+1) % n``,
-    which is what ``np.roll(F, -1, axis=d)`` lines up with cell ``i``.
+  - Cell ``i``'s right face along ``d`` is therefore face index ``(i+1) % n``.
+
+Neighbour reads are views, never shifted copies.  A cell field reads its
+neighbours through its ghost frame (``CellField.shifted`` and
+``CellField.along``); any other array gets one periodic pad along the axis
+it is read along (``periodic_pad``), and ``Padded.at(m)`` is then the
+interior-shaped view whose entry ``i`` is the array's entry ``(i+m) % n``.
+A neighbour read that feeds a single operation goes through
+``neighbour_apply`` instead, which needs no copy.
 """
 
 import math
@@ -136,8 +143,84 @@ class CellField:
         sl = tuple(slice(g + m, g + m + n) for m in offsets)
         return self.data[sl]
 
+    def along(self, axis):
+        """The interior as a ``Padded`` along ``axis``, read through the ghosts."""
+        g, n = self.grid.ghost, self.grid.n
+        sl = axis_index(axis, slice(None), self.grid.dim, slice(g, g + n))
+        return Padded(self.data[sl], g, axis)
+
     def copy(self):
         return CellField(self.grid, self.data.copy())
+
+
+def axis_index(axis, sl, ndim, rest=slice(None)):
+    """Index tuple taking ``sl`` along ``axis`` and ``rest`` along the others."""
+    return tuple(sl if ax == axis else rest for ax in range(ndim))
+
+
+class Padded:
+    """An array carrying ``width`` periodic images on both sides of ``axis``.
+
+    ``at(m)`` is the interior-shaped view whose entry ``i`` along ``axis``
+    is the unpadded array's entry ``(i + m) % n``, for ``|m| <= width``.
+    An elementwise function of ``data`` keeps the layout, so wrapping its
+    result in a ``Padded`` of the same width and axis reads it the same way.
+    """
+
+    __slots__ = ("data", "width", "axis")
+
+    def __init__(self, data, width, axis):
+        self.data, self.width, self.axis = data, width, axis
+
+    def at(self, m):
+        w = self.width
+        n = self.data.shape[self.axis] - 2 * w
+        return self.data[axis_index(self.axis, slice(w + m, w + m + n), self.data.ndim)]
+
+
+def periodic_pad(a, width, axis):
+    """``a`` copied once with ``width`` periodic images on both sides of ``axis``."""
+    n, ndim = a.shape[axis], a.ndim
+    return Padded(
+        np.concatenate(
+            (a[axis_index(axis, slice(n - width, n), ndim)], a,
+             a[axis_index(axis, slice(0, width), ndim)]),
+            axis=axis,
+        ),
+        width,
+        axis,
+    )
+
+
+def neighbour_apply(ufunc, x, mx, y, my, d, out):
+    """``out[k] = ufunc(x[(k+mx) % n], y[(k+my) % n])`` along axis ``d``.
+
+    For shifts ``|mx|, |my| < n`` and a C-contiguous ``out`` that shares no
+    memory with ``x`` or ``y``.  One call on
+    the flattened arrays, where a step along ``d`` is ``stride`` entries,
+    covers every ``k`` whose reads need no wrap (along the last axis it
+    also writes, wrongly, the edge entries of each row); the entries next
+    to the wrap are then written over one slice at a time.  Unlike views of
+    a pad, every operand of the main call is contiguous.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("neighbour_apply needs a C-contiguous output array")
+    if np.may_share_memory(out, x) or np.may_share_memory(out, y):
+        raise ValueError("neighbour_apply cannot write over its operands")
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    n, ndim = out.shape[d], out.ndim
+    stride = math.prod(out.shape[d + 1:])
+    lo, hi = max(0, -mx, -my), min(n, n - mx, n - my)
+    start, stop = lo * stride, out.size - (n - hi) * stride
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+    ufunc(flat_x[start + mx * stride:stop + mx * stride],
+          flat_y[start + my * stride:stop + my * stride],
+          out=out.reshape(-1)[start:stop])
+    for k in (*range(lo), *range(hi, n)):
+        ufunc(x[axis_index(d, slice((k + mx) % n, (k + mx) % n + 1), ndim)],
+              y[axis_index(d, slice((k + my) % n, (k + my) % n + 1), ndim)],
+              out=out[axis_index(d, slice(k, k + 1), ndim)])
+    return out
 
 
 def fill_ghosts(f):
@@ -185,7 +268,8 @@ def flux_divergence(grid, fluxes, dt):
     zero under periodicity.
     """
     out = np.zeros(grid.shape)
+    diff = np.empty(grid.shape)
     for d, F in enumerate(fluxes):
-        out += np.roll(F, -1, axis=d) - F
+        out += neighbour_apply(np.subtract, F, 1, F, 0, d, diff)
     out *= dt / grid.h
     return out

@@ -16,29 +16,27 @@ CFL numbers up to one, independent of dimensionality.
 
 import numpy as np
 
-from .grid import CellField, flux_divergence
+from .grid import CellField, flux_divergence, neighbour_apply, periodic_pad
 
 
-def _donor(values, u_face, d):
-    """Donor-cell face values: the upstream cell per the face-velocity sign."""
-    left = np.roll(values, 1, axis=d)
-    return np.where(u_face >= 0.0, left, values)
+def _donor(values, u_face):
+    """Donor-cell face values of a ``Padded``: the upstream cell per face."""
+    return np.where(u_face >= 0.0, values.at(-1), values.at(0))
 
 
 def ctu_fluxes(qn, u_faces, dt, grid):
     """Per-dimension CTU face fluxes for one step of size ``dt``."""
-    q = qn.interior
-    upwind_flux = [u_faces[d] * _donor(q, u_faces[d], d) for d in range(grid.dim)]
+    upwind_flux = [u_faces[d] * _donor(qn.along(d), u_faces[d]) for d in range(grid.dim)]
+    diff = np.empty(grid.shape)
     out = []
     for d in range(grid.dim):
-        transverse = np.zeros(grid.shape)
+        q_tilde = np.zeros(grid.shape)
         for dp in range(grid.dim):
-            if dp == d:
-                continue
-            G = upwind_flux[dp]
-            transverse += np.roll(G, -1, axis=dp) - G
-        q_tilde = q - (dt / (2.0 * grid.h)) * transverse
-        out.append(u_faces[d] * _donor(q_tilde, u_faces[d], d))
+            if dp != d:
+                q_tilde += neighbour_apply(np.subtract, upwind_flux[dp], 1, upwind_flux[dp], 0, dp, diff)
+        q_tilde *= dt / (2.0 * grid.h)
+        np.subtract(qn.interior, q_tilde, out=q_tilde)
+        out.append(u_faces[d] * _donor(periodic_pad(q_tilde, 1, d), u_faces[d]))
     return tuple(out)
 
 

@@ -20,6 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .grid import axis_index, neighbour_apply, periodic_pad
+
 
 @dataclass(frozen=True)
 class StencilScheme:
@@ -79,13 +81,36 @@ def _axis_offset(d, m, dim):
     return tuple(off)
 
 
-def upwind_sign(u_face):
-    """1 when every face has u >= 0, -1 when every face has u < 0, else 0."""
-    if np.all(u_face >= 0.0):
-        return 1
-    if np.all(u_face < 0.0):
-        return -1
-    return 0
+class Orientation(NamedTuple):
+    """The faces at ``index`` all take one stencil orientation."""
+
+    index: tuple
+    mirrored: bool
+
+
+def upwind_orientation(u_face, d):
+    """Blocks of the faces normal to ``d`` that share an upwind orientation.
+
+    A face takes the positive orientation where u >= 0 (ties included) and
+    the mirrored one elsewhere.  A uniform sign gives one block over every
+    face; a sign that does not vary along the normal ``d`` (rotation) gives
+    one block per run of whole rows of one sign.  Otherwise the result is
+    None and each face chooses for itself.
+    """
+    plus = u_face >= 0.0
+    ndim = plus.ndim
+    if plus.all() or not plus.any():
+        return (Orientation((slice(None),) * ndim, not plus.flat[0]),)
+    row = plus.take([0], axis=d)
+    if ndim == 1 or not np.array_equal(plus, np.broadcast_to(row, plus.shape)):
+        return None
+    (t,) = (ax for ax in range(ndim) if ax != d)
+    signs = row.ravel()
+    cuts = [0, *(np.flatnonzero(signs[1:] != signs[:-1]) + 1), signs.size]
+    return tuple(
+        Orientation(axis_index(t, slice(a, b), ndim), not signs[a])
+        for a, b in zip(cuts[:-1], cuts[1:])
+    )
 
 
 # The order-4 and order-6 product-rule corrections are symmetric bilinear
@@ -114,8 +139,9 @@ class ProductWeights(NamedTuple):
 
 
 def _differences(f, t):
-    up1, dn1 = np.roll(f, -1, t), np.roll(f, 1, t)
-    return up1 - dn1, np.roll(f, -2, t) - np.roll(f, 2, t), up1 + dn1 - 2.0 * f
+    p = periodic_pad(f, 2, t)
+    up1, dn1 = p.at(1), p.at(-1)
+    return up1 - dn1, p.at(2) - p.at(-2), up1 + dn1 - 2.0 * f
 
 
 def product_rule_weights(u_face, order, d, grid):
@@ -156,12 +182,12 @@ def product_rule_weights(u_face, order, d, grid):
 class FaceFlow:
     """What the face fluxes of one run need from the frozen velocity.
 
-    Per axis: the face velocities, their ``upwind_sign`` and their
-    ``product_rule_weights``.  ``face_flow`` builds it once per run.
+    Per axis: the face velocities, their ``upwind_orientation`` blocks and
+    their ``product_rule_weights``.  ``face_flow`` builds it once per run.
     """
 
     u_faces: tuple
-    signs: tuple
+    orientations: tuple
     weights: tuple
 
 
@@ -169,16 +195,22 @@ def face_flow(u_faces, grid, order):
     """The ``FaceFlow`` of per-axis face velocities for a product-rule order."""
     return FaceFlow(
         tuple(u_faces),
-        tuple(upwind_sign(u) for u in u_faces),
+        tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces)),
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
     )
 
 
-def _stencil_sum(q, scheme, d, mirrored):
+def _stencil_sum(q, scheme, d, mirrored, index=..., out=None):
+    """The stencil applied at the faces ``index`` (all by default)."""
     dim = q.grid.dim
-    out = np.zeros(q.grid.shape)
+    if out is None:
+        out = np.zeros(q.grid.shape)
+    else:
+        out.fill(0.0)
+    term = np.empty(out.shape)
     for s, a in zip(scheme.offsets, scheme.coefficients):
-        out += a * q.shifted(_axis_offset(d, -s if mirrored else s - 1, dim))
+        view = q.shifted(_axis_offset(d, -s if mirrored else s - 1, dim))[index]
+        out += np.multiply(view, a, out=term)
     return out
 
 
@@ -187,23 +219,27 @@ def face_interpolate(q, scheme, d, flow=None):
 
     Face index k sits between cells k-1 and k, so the positive-velocity
     stencil reads cells (k-1)+s and the mirrored one reads cells k-s.
-    Upwind schemes take the orientation from the ``FaceFlow``: where every
-    face along ``d`` has the same sign only that orientation is built,
-    otherwise it is chosen per face (ties at u == 0 take the positive
+    Upwind schemes take the orientation from the ``FaceFlow``: each block
+    of faces sharing one (see ``upwind_orientation``) is built once with
+    that orientation only; where the sign varies along the normal both are
+    built and chosen per face (ties at u == 0 take the positive
     orientation).  Centered schemes ignore ``flow``.
     """
     if not scheme.is_upwind:
         return _stencil_sum(q, scheme, d, False)
     if flow is None:
         raise ValueError("upwind interpolation needs face velocities")
-    sign = flow.signs[d]
-    if sign == 0:
+    blocks = flow.orientations[d]
+    if blocks is None:
         return np.where(
             flow.u_faces[d] >= 0.0,
             _stencil_sum(q, scheme, d, False),
             _stencil_sum(q, scheme, d, True),
         )
-    return _stencil_sum(q, scheme, d, sign < 0)
+    out = np.empty(q.grid.shape)
+    for index, mirrored in blocks:
+        _stencil_sum(q, scheme, d, mirrored, index, out[index])
+    return out
 
 
 def product_rule_flux(q_face, flow, d):
@@ -233,9 +269,14 @@ def product_rule_flux(q_face, flow, d):
     """
     flux = q_face * flow.u_faces[d]
     for t, w1, w2, w0 in flow.weights[d]:
-        up1, dn1 = np.roll(q_face, -1, t), np.roll(q_face, 1, t)
-        flux += w1 * (up1 - dn1)
+        term = np.empty_like(flux)
+        d1 = neighbour_apply(np.subtract, q_face, 1, q_face, -1, t, term)
+        flux += np.multiply(w1, d1, out=term)
         if w2 is not None:
-            flux += w2 * (np.roll(q_face, -2, t) - np.roll(q_face, 2, t))
-            flux += w0 * (up1 + dn1 - 2.0 * q_face)
+            d2 = neighbour_apply(np.subtract, q_face, 2, q_face, -2, t, term)
+            flux += np.multiply(w2, d2, out=term)
+            twice = np.multiply(2.0, q_face)
+            lap = neighbour_apply(np.add, q_face, 1, q_face, -1, t, term)
+            lap -= twice
+            flux += np.multiply(w0, lap, out=term)
     return flux

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fvadvect.grid import CellField, Grid, conserved_sum, fill_ghosts, flux_divergence
+from fvadvect.grid import (
+    CellField,
+    Grid,
+    conserved_sum,
+    fill_ghosts,
+    flux_divergence,
+    neighbour_apply,
+    periodic_pad,
+)
 
 
 def kahan_sum(values):
@@ -84,6 +92,42 @@ class TestFillGhosts:
         for off in ((1, 0), (-2, 3), (5, -5)):
             rolled = np.roll(np.roll(vals, -off[0], axis=0), -off[1], axis=1)
             assert np.array_equal(f.shifted(off), rolled)
+
+
+class TestNeighbourReads:
+    def test_pad_and_ghost_views_match_roll(self):
+        rng = np.random.default_rng(6)
+        for dim in (1, 2):
+            g = Grid(dim, 16)
+            vals = rng.random(g.shape)
+            f = CellField.from_interior(g, vals)
+            for axis in range(dim):
+                pad, ghosts = periodic_pad(vals, 3, axis), f.along(axis)
+                for m in range(-3, 4):
+                    rolled = np.roll(vals, -m, axis=axis)
+                    assert np.array_equal(pad.at(m), rolled)
+                    assert np.array_equal(ghosts.at(m), rolled)
+
+    def test_neighbour_apply_matches_roll(self):
+        rng = np.random.default_rng(7)
+        for dim in (1, 2):
+            g = Grid(dim, 16)
+            x, y = rng.random(g.shape), rng.random(g.shape)
+            for d in range(dim):
+                for mx in range(-2, 3):
+                    for my in range(-2, 3):
+                        got = neighbour_apply(np.subtract, x, mx, y, my, d, np.empty(g.shape))
+                        want = np.roll(x, -mx, axis=d) - np.roll(y, -my, axis=d)
+                        assert np.array_equal(got, want)
+
+    def test_neighbour_apply_rejects_unusable_output(self):
+        # a strided output cannot be flattened in place, and writing over an
+        # operand would corrupt the wrapped entries along the last axis
+        x = np.ones((16, 16))
+        with pytest.raises(ValueError):
+            neighbour_apply(np.add, x, 1, x, 0, 1, np.empty((16, 32))[:, ::2])
+        with pytest.raises(ValueError):
+            neighbour_apply(np.add, x, 1, np.ones((16, 16)), 0, 1, x)
 
 
 class TestConservedSum:

@@ -6,12 +6,14 @@ import pytest
 from fvadvect.grid import CellField, Grid
 from fvadvect.schemes import (
     SCHEME_NAMES,
+    Orientation,
     default_product_order,
     face_flow,
     face_interpolate,
     product_rule_flux,
     scheme_coefficients,
 )
+from fvadvect.velocity import SolidBodyRotation, face_average_velocity
 
 EXPECTED = {
     "c4": ((-1, 7, 7, -1), 12, 4),
@@ -120,8 +122,40 @@ class TestUpwindOrientation:
         if sign > 0:
             u_faces[0][3, 5] = 0.0  # a tie takes the positive orientation
         flow = face_flow(u_faces, g, 2)
-        assert flow.signs == (int(sign),) * 2
+        whole = (Orientation((slice(None),) * 2, sign < 0),)
+        assert flow.orientations == (whole, whole)
         s = scheme_coefficients(name)
+        for d in range(2):
+            assert np.array_equal(
+                face_interpolate(q, s, d, flow), two_orientation_faces(q, s, d, u_faces[d])
+            )
+
+    def test_rotation_builds_two_row_blocks(self):
+        # u_x changes sign with y only and u_y with x only: one block of
+        # whole rows per sign on each axis, bitwise the per-face choice
+        rng = np.random.default_rng(15)
+        g = Grid(2, 24)
+        q = CellField.from_interior(g, rng.random((24, 24)))
+        u_faces = face_average_velocity(SolidBodyRotation(), g)
+        flow = face_flow(u_faces, g, 6)
+        for d in range(2):
+            blocks = flow.orientations[d]
+            assert len(blocks) == 2
+            assert {b.mirrored for b in blocks} == {False, True}
+            for name in ("u5", "u7", "u9"):
+                s = scheme_coefficients(name)
+                assert np.array_equal(
+                    face_interpolate(q, s, d, flow), two_orientation_faces(q, s, d, u_faces[d])
+                )
+
+    def test_sign_varying_along_normal_chooses_per_face(self):
+        rng = np.random.default_rng(16)
+        g = Grid(2, 24)
+        q = CellField.from_interior(g, rng.random((24, 24)))
+        u_faces = face_average_velocity(SolidBodyRotation(), g)[::-1]  # u_y(x) along x
+        flow = face_flow(u_faces, g, 2)
+        assert flow.orientations == (None, None)
+        s = scheme_coefficients("u9")
         for d in range(2):
             assert np.array_equal(
                 face_interpolate(q, s, d, flow), two_orientation_faces(q, s, d, u_faces[d])
