@@ -6,11 +6,12 @@ bounds with parabolic relaxation at smooth extrema; oscillating-extremum
 flags; the P/Q/R least-upper-bound machinery; per-face hybridization
 coefficients; and the final conservative correction.
 
-Alignment reminders (see grid.py): a neighbour at offset m along axis d is
-read as the view ``at(m)`` of a cell field's ``along(d)`` or of a
-``periodic_pad``, or as shift m of ``neighbour_apply``.  Face index k along
-axis d lies between cells k-1 and k, so at the face i+1/2 (k = i+1), for
-quantities stored per cell,
+The limiter phases take plain periodic arrays and the spacing ``h``, so
+they can run on a window of the grid (``limiter_window``).  Alignment
+reminders (see grid.py): a neighbour at offset m along axis d is read as
+the view ``at(m)`` of a ``periodic_pad``, or as shift m of
+``neighbour_apply``.  Face index k along axis d lies between cells k-1
+and k, so at the face i+1/2 (k = i+1), for quantities stored per cell,
 
     cell i   -> offset -1       (the face's left cell)
     cell i+1 -> offset 0        (the face's right cell)
@@ -36,13 +37,25 @@ CONSTANCY_TOL = 1e-14
 # hard windowed bounds step after step.
 CURVATURE_FLOOR_REL = 1e-6
 LIMITER_MODES = ("on", "off", "off-low")
+# Faces moving less than this fraction of max|qn| in a step (|A| dt/h) are
+# left out of the limiter and get eta = 0.  That is safe: any eta between 0
+# and the computed one keeps the update inside the bounds (Zalesak 1979).
+ANTIDIFFUSION_TOL = 1e-14
+# Cells of halo around the active faces.  Face k, between cells k-1 and k,
+# takes R at those cells; R at cell i takes the preconstrained A at faces
+# i and i+1 along each axis, whose d2 at shifts -2..1 reads qn at i-3 and
+# i+3, and bounds and flags at i, which read 2 cells away (the radius-2
+# boxes, the +-2 total-variation window, the minmod of d2, the 3^dim
+# Laplacian box).  So eta reads at most 4 cells away along and across its
+# axis; 6 is the width the ghost frame budgets.
+LIMITER_REACH = 6
 
 
 def second_differences(q):
-    """Per-dimension centered second differences of a cell field."""
+    """Per-axis centered second differences of a periodic array."""
     out = []
-    for d in range(q.grid.dim):
-        c = q.along(d)
+    for d in range(q.ndim):
+        c = periodic_pad(q, 1, d)
         d2 = np.multiply(2.0, c.at(0))
         np.subtract(c.at(1), d2, out=d2)
         d2 += c.at(-1)
@@ -55,7 +68,7 @@ def antidiffusive(F_high, F_low):
     return tuple(fh - fl for fh, fl in zip(F_high, F_low))
 
 
-def preconstrain(A, q_td, d2q, u_faces, dt, grid):
+def preconstrain(A, q_td, d2q, u_faces, dt, h):
     """Zero antidiffusive fluxes that would steepen a detected discontinuity.
 
     A face is zeroed only when all three hold:
@@ -68,22 +81,22 @@ def preconstrain(A, q_td, d2q, u_faces, dt, grid):
          (1 - sigma_face) * |avg of adjacent second differences|.
     """
     out = []
-    for d in range(grid.dim):
+    for d in range(q_td.ndim):
         Ad = A[d]
-        td = q_td.along(d)
         d2 = d2q[d]  # shifts -2, -1, 0, 1 are cells i-1, i, i+1, i+2
-        buf = np.subtract(td.at(0), td.at(-1))  # q_td(i+1) - q_td(i) at face k
+        # q_td(i+1) - q_td(i) at face k
+        buf = neighbour_apply(np.subtract, q_td, 0, q_td, -1, d, np.empty(q_td.shape))
         buf *= Ad
         zeroed = buf <= 0.0  # downgradient
-        kink = neighbour_apply(np.multiply, d2, 0, d2, -1, d, np.empty(grid.shape))
+        kink = neighbour_apply(np.multiply, d2, 0, d2, -1, d, np.empty(q_td.shape))
         np.minimum(kink, neighbour_apply(np.multiply, d2, -1, d2, -2, d, buf), out=kink)
         np.minimum(kink, neighbour_apply(np.multiply, d2, 0, d2, 1, d, buf), out=kink)
         zeroed &= kink < 0.0
         dissipation = np.abs(u_faces[d])
         np.multiply(dissipation, dt, out=buf)
-        buf /= grid.h
+        buf /= h
         np.subtract(1.0, buf, out=buf)  # 1 - sigma_face
-        dissipation *= grid.h
+        dissipation *= h
         dissipation /= 2.0
         dissipation *= buf
         dissipation *= np.abs(neighbour_apply(np.add, d2, -1, d2, 0, d, buf), out=buf)
@@ -136,8 +149,8 @@ def compute_bounds(qn, q_td, u_cell, sigma):
     Returns ``(q_max, q_min, s)`` where the window is the [2s+1]^dim block
     around each cell and the candidates are q_n and q_td together.
     """
-    hi = np.maximum(qn.interior, q_td.interior)
-    lo = np.minimum(qn.interior, q_td.interior)
+    hi = np.maximum(qn, q_td)
+    lo = np.minimum(qn, q_td)
     s = bounds_stencil_size(u_cell, sigma)
     wide = s == 2
     q_max, wide_max = _box_extremes(hi, 2, np.maximum)
@@ -148,7 +161,7 @@ def compute_bounds(qn, q_td, u_cell, sigma):
     return q_max, q_min, s
 
 
-def _directional_extremum_tests(q_td, grid):
+def _directional_extremum_tests(q_td):
     """Per-dimension (smooth, constant) masks.
 
     smooth: the first difference changes sign within reach of cell i, and
@@ -157,8 +170,8 @@ def _directional_extremum_tests(q_td, grid):
     constant: the 3-point line along the dimension is flat to roundoff.
     """
     smooth, constant = [], []
-    for d in range(grid.dim):
-        td = q_td.along(d)
+    for d in range(q_td.ndim):
+        td = periodic_pad(q_td, 2, d)
         c = td.at(0)
         dq = periodic_pad(c - td.at(-1), 2, d)  # q(i) - q(i-1), cell aligned
         prod = np.multiply(dq.at(0), dq.at(1))
@@ -195,11 +208,10 @@ def smooth_extremum_flags(field):
     (most visibly at 2D corners), so a cell must look smooth in both
     states before its bounds are relaxed.
     """
-    grid = field.grid
-    smooth, constant = _directional_extremum_tests(field, grid)
+    smooth, constant = _directional_extremum_tests(field)
     any_smooth = smooth[0].copy()
     all_ok = smooth[0] | constant[0]
-    for d in range(1, grid.dim):
+    for d in range(1, field.ndim):
         any_smooth |= smooth[d]
         all_ok &= smooth[d] | constant[d]
     return all_ok & any_smooth
@@ -227,7 +239,7 @@ def _limited_curvature(d2, axis):
     return out
 
 
-def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
+def extremum_bound_correction(flags, qn, d2q, q_max, q_min, scale=None):
     """Relax the upper bound at flagged cells using a local parabola.
 
     Per dimension, the parabola through the three old-time cell values is
@@ -236,8 +248,10 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
     upper bound of the cell value plus twice the distance to the extremum
     estimate.  Three safeguards keep the relaxation from outrunning the
     data: the curvature is minmod-limited (see above), curvature below
-    CURVATURE_FLOOR_REL of the field scale is ignored, and the grown bound
-    is capped at the windowed bound plus the limited curvature magnitude,
+    CURVATURE_FLOOR_REL of the field scale (``scale``: by default max|qn|,
+    which a window of the grid must take from the whole grid) is ignored,
+    and the grown bound is capped at the windowed bound plus the limited
+    curvature magnitude,
     which is several times the real headroom a resolved extremum needs
     between steps.  The correction never tightens below the windowed
     bounds, and unflagged cells keep their bounds bitwise.
@@ -249,17 +263,14 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
     from clipping the way maxima are, and it is what makes undershoot
     growth below the running window floor structurally impossible.
     """
-    grid = qn.grid
-    c = qn.interior
-    scale = float(np.max(np.abs(c))) if c.size else 0.0
-    floor = CURVATURE_FLOOR_REL * scale
-    ext_hi = np.full(grid.shape, -np.inf)
-    margin = np.zeros(grid.shape)
-    any_concave = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
+    c = qn
+    floor = CURVATURE_FLOOR_REL * (float(np.max(np.abs(c))) if scale is None else scale)
+    ext_hi = np.full(c.shape, -np.inf)
+    margin = np.zeros(c.shape)
+    any_concave = np.zeros(c.shape, dtype=bool)
+    for d in range(c.ndim):
         d2lim = _limited_curvature(d2q[d], d)
-        cd = qn.along(d)
-        slope = np.subtract(cd.at(1), cd.at(-1))
+        slope = neighbour_apply(np.subtract, c, 1, c, -1, d, np.empty(c.shape))
         slope *= 0.5
         buf = np.abs(d2lim)
         usable = buf > floor
@@ -293,7 +304,7 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min):
     return new_max, q_min
 
 
-def laplacian_flags(qn, d2q, q_td=None):
+def laplacian_flags(qn, d2q, h, q_td=None):
     """Oscillating-extremum mask: curvature flips sign across the extremum.
 
     A cell qualifies when the discrete Laplacian (summed second
@@ -312,51 +323,48 @@ def laplacian_flags(qn, d2q, q_td=None):
     step and the repeated fallback to the low-order flux drags the feature
     to first order.
     """
-    grid = qn.grid
     lap = d2q[0].copy()
-    for d in range(1, grid.dim):
+    for d in range(1, qn.ndim):
         lap += d2q[d]
-    lap /= grid.h * grid.h
+    lap /= h * h
     (lap_pos,) = _box_extremes(lap > 0.0, 1, np.logical_or)
     (lap_neg,) = _box_extremes(lap < 0.0, 1, np.logical_or)
     del lap
     probe = q_td if q_td is not None else qn
-    oscillating = np.zeros(grid.shape, dtype=bool)
-    for d in range(grid.dim):
-        p = probe.along(d)
-        dq = np.subtract(p.at(0), p.at(-1))
-        dq *= np.subtract(p.at(1), p.at(0))
+    oscillating = np.zeros(qn.shape, dtype=bool)
+    dq, buf = np.empty(qn.shape), np.empty(qn.shape)
+    for d in range(qn.ndim):
+        neighbour_apply(np.subtract, probe, 0, probe, -1, d, dq)
+        dq *= neighbour_apply(np.subtract, probe, 1, probe, 0, d, buf)
         bracket = dq <= 0.0
-        del dq
         (any_pos,) = _line_extremes(d2q[d] > 0.0, 1, np.logical_or, d)
         (any_neg,) = _line_extremes(d2q[d] < 0.0, 1, np.logical_or, d)
         oscillating |= bracket & any_pos & any_neg
     return oscillating & lap_pos & lap_neg
 
 
-def compute_pqr(A, q_td, q_max, q_min, flagged, dt, grid):
+def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h):
     """Least-upper-bound multipliers for the antidiffusive correction.
 
     P gathers the antidiffusive flux into (+) and out of (-) each cell, Q
     measures the headroom to the bound scaled by h/dt, and R caps their
     ratio at one (zero where no inflow/outflow, and zero at flagged cells).
     """
-    P_in = np.zeros(grid.shape)
-    P_out = np.zeros(grid.shape)
-    buf = np.empty(grid.shape)
-    for d in range(grid.dim):
+    P_in = np.zeros(q_td.shape)
+    P_out = np.zeros(q_td.shape)
+    buf = np.empty(q_td.shape)
+    for d in range(q_td.ndim):
         into = np.maximum(A[d], 0.0)
         out_of = np.minimum(A[d], 0.0)
         # shift 0 is the cell's left face and shift 1 its right face
         P_in += neighbour_apply(np.subtract, into, 0, out_of, 1, d, buf)
         P_out += neighbour_apply(np.subtract, into, 1, out_of, 0, d, buf)
     del into, out_of
-    td = q_td.interior
     rates = []
-    for P, R in ((P_in, np.subtract(q_max, td)), (P_out, np.subtract(td, q_min))):
+    for P, R in ((P_in, np.subtract(q_max, q_td)), (P_out, np.subtract(q_td, q_min))):
         active = P > 0.0
         np.copyto(P, 1.0, where=~active)
-        R *= grid.h / dt  # Q
+        R *= h / dt  # Q
         R /= P
         np.minimum(1.0, R, out=R)
         active &= ~flagged
@@ -365,7 +373,7 @@ def compute_pqr(A, q_td, q_max, q_min, flagged, dt, grid):
     return tuple(rates)
 
 
-def hybridize(A, R_in, R_out, grid):
+def hybridize(A, R_in, R_out):
     """Per-face hybridization coefficients, the most restrictive choice.
 
     A positive antidiffusive flux raises the right cell and lowers the left
@@ -374,14 +382,50 @@ def hybridize(A, R_in, R_out, grid):
     where the value is irrelevant.
     """
     etas = []
-    raising = np.empty(grid.shape)
-    for d in range(grid.dim):
+    raising = np.empty(R_in.shape)
+    for d in range(R_in.ndim):
         # shift 0 is a face's right cell and shift -1 its left cell
-        eta = neighbour_apply(np.minimum, R_in, -1, R_out, 0, d, np.empty(grid.shape))
+        eta = neighbour_apply(np.minimum, R_in, -1, R_out, 0, d, np.empty(R_in.shape))
         neighbour_apply(np.minimum, R_in, 0, R_out, -1, d, raising)
         np.copyto(eta, raising, where=A[d] > 0.0)
         etas.append(eta)
     return tuple(etas)
+
+
+def limiter_window(A, dt, h, scale):
+    """``(cut, core, inner)`` for the faces the limiter must see, or None.
+
+    A face is active where |A| dt/h > ANTIDIFFUSION_TOL * scale.  Per axis
+    the core is the shortest circular run of faces holding every active
+    one (the complement of the largest inactive gap); the window pads it
+    by LIMITER_REACH cells per side, or is the whole axis once that
+    reaches n, where the periodic wrap is exact.  ``cut(a)`` copies the
+    window out of a grid array (it is ``a`` itself for the whole grid);
+    ``core`` and ``inner`` index the core faces in the grid and window.
+    """
+    active = [np.abs(a) * (dt / h) > ANTIDIFFUSION_TOL * scale for a in A]
+    takes, core, inner = [], [], []
+    for ax, n in enumerate(A[0].shape):
+        others = tuple(x for x in range(A[0].ndim) if x != ax)
+        hits = np.flatnonzero(np.any([m.any(axis=others) for m in active], axis=0))
+        if hits.size == 0:
+            return None
+        gaps = np.diff(hits, append=hits[0] + n)
+        j = int(np.argmax(gaps))
+        start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
+        run = np.arange(start, start + length)
+        core.append(run % n)
+        if length + 2 * LIMITER_REACH < n:
+            takes.append((ax, np.arange(start - LIMITER_REACH, start + length + LIMITER_REACH)))
+            run += LIMITER_REACH - start
+        inner.append(run % n)
+
+    def cut(a):
+        for ax, idx in takes:
+            a = np.take(a, idx, axis=ax, mode="wrap")
+        return a
+
+    return cut, np.ix_(*core), np.ix_(*inner)
 
 
 def fct_advance(
@@ -404,8 +448,12 @@ def fct_advance(
     limiter="off"      pure unlimited high-order update
     limiter="off-low"  pure CTU update (diagnostic)
 
+    With the limiter on, the limiter phases run on ``limiter_window``'s
+    window only; faces outside its core get eta = 0, and with no active
+    face the step returns the transported-diffused state.
+
     ``force_eta`` overrides the computed hybridization coefficient with a
-    constant in [0, 1] (0 recovers CTU bitwise, 1 with
+    constant in [0, 1] on the whole grid (0 recovers CTU bitwise, 1 with
     ``preconstraint=False`` recovers the high-order update to roundoff).
     Both arguments are checked before any flux is computed.
     """
@@ -428,28 +476,37 @@ def fct_advance(
     F_low = ctu_fluxes(qn, u_faces, dt, grid)
     q_td = low_order_update(qn, F_low, dt)
     A = antidiffusive(F_high, F_low)
-    # the bounds and flags phases below set the step's memory peak
     del F_high, F_low
-    d2q = second_differences(qn)
-    if preconstraint:
-        A = preconstrain(A, q_td, d2q, u_faces, dt, grid)
-
+    qn_in, td_in, h = qn.interior, q_td.interior, grid.h
     if force_eta is not None:
+        if preconstraint:
+            A = preconstrain(A, td_in, second_differences(qn_in), u_faces, dt, h)
         etas = tuple(np.full(grid.shape, float(force_eta)) for _ in range(grid.dim))
+        for a, eta in zip(A, etas):
+            a *= eta
     else:
-        q_max, q_min, _ = compute_bounds(qn, q_td, u_cell, sigma)
-        flags = smooth_extremum_flags(q_td) & smooth_extremum_flags(qn)
-        q_max, q_min = extremum_bound_correction(flags, qn, d2q, q_max, q_min)
-        oscillating = flags & laplacian_flags(qn, d2q, q_td=q_td)
-        R_in, R_out = compute_pqr(A, q_td, q_max, q_min, oscillating, dt, grid)
-        etas = hybridize(A, R_in, R_out, grid)
-    for eta in etas:
-        if not np.all((eta >= 0.0) & (eta <= 1.0)):
-            raise AssertionError("hybridization coefficient left [0, 1]")
-    for a, eta in zip(A, etas):
-        a *= eta
+        scale = float(np.max(np.abs(qn_in)))
+        etas = tuple(np.zeros(grid.shape) for _ in A)
+        window = limiter_window(A, dt, h, scale)
+        if window is None:
+            return q_td, etas
+        cut, core, inner = window
+        qn_w, td_w, A_w = cut(qn_in), cut(td_in), tuple(map(cut, A))
+        d2q = second_differences(qn_w)
+        if preconstraint:
+            A_w = preconstrain(A_w, td_w, d2q, tuple(map(cut, u_faces)), dt, h)
+        q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(cut, u_cell)), sigma)
+        flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
+        q_max, q_min = extremum_bound_correction(flags, qn_w, d2q, q_max, q_min, scale)
+        oscillating = flags & laplacian_flags(qn_w, d2q, h, q_td=td_w)
+        R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h)
+        A = tuple(np.zeros(grid.shape) for _ in A)
+        for a, a_w, eta, eta_w in zip(A, A_w, etas, hybridize(A_w, R_in, R_out)):
+            eta_w = eta_w[inner]
+            if not np.all((eta_w >= 0.0) & (eta_w <= 1.0)):
+                raise AssertionError("hybridization coefficient left [0, 1]")
+            eta[core] = eta_w
+            a[core] = a_w[inner] * eta_w
     # q_td's storage is free once the bounds are built
-    q_new = q_td
-    interior = q_new.interior
-    interior -= flux_divergence(grid, A, dt)
-    return fill_ghosts(q_new), etas
+    td_in -= flux_divergence(grid, A, dt)
+    return fill_ghosts(q_td), etas

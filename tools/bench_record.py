@@ -1,0 +1,204 @@
+"""Record the benchmark for two checkouts as a committed BENCH_*.json file.
+
+    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_8.json \
+        [--workloads a,b] [--seeds 101-110] [--seconds 20] \
+        [--trace-runs 3] [--trace-workloads slotted-rotation-2d]
+
+``--parent`` and ``--change`` are source checkouts (for example an export
+of the parent commit and the working tree).  For every workload and seed
+the two run ``perfbench/run.py --trace 0`` back to back, as a pair, with
+the order swapped on every other pair so a slow spell of the host falls on
+both sides alike.  Then each traced workload runs ``--trace 1`` at seed 0,
+``--trace-runs`` times per side, again alternating.
+
+The file holds the provenance of the host and both checkouts, every pair's
+metrics, and per metric the median, quartiles, IQR, min and max of each
+side, the ratio of the medians and the number of pairs the change won.
+For the traced runs it holds the median per-layer self ms per step.  Every
+run's standard error is merged into its standard output and the last line
+must parse as the benchmark's JSON result; a run where it does not is
+recorded as malformed.  The recorder reports and never gates: its exit
+code is 0 whatever the numbers say.
+"""
+
+import argparse
+import datetime
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOADS = ("slotted-rotation-2d", "cosine8-unlimited-2d", "stability-table")
+# Run-to-run figures of a traced run that are not self times.
+TRACE_EXTRAS = ("numpy.roll.calls", "fct.eta_below_one_frac", "trace.overhead_ratio")
+
+
+def seed_list(text):
+    """'101-110' or '1,5,9' -> list of ints."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def git_rev(checkout, rev):
+    """``git rev-parse rev`` in a checkout, or None outside a repository."""
+    try:
+        out = subprocess.run(["git", "-C", str(checkout), "rev-parse", rev],
+                             capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def run_once(checkout, workload, seed, seconds, trace):
+    """One ``perfbench/run.py`` process -> (result record, its provenance)."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    lines = proc.stdout.strip().splitlines()
+    record, provenance = {"exit_code": proc.returncode}, None
+    for line in lines:
+        if line.startswith('{"provenance"'):
+            provenance = json.loads(line)["provenance"]
+            break
+    try:
+        result = json.loads(lines[-1])
+        record.update(correct=result["correct"], attempted=result["attempted"],
+                      failed=result["failed"],
+                      metrics={k: v["value"] for k, v in result["metrics"].items()})
+    except (IndexError, ValueError, KeyError, TypeError):
+        record.update(malformed=True, last_line=lines[-1] if lines else "")
+    return record, provenance
+
+
+def spread(values):
+    """Median, quartiles, IQR, min and max of a list of numbers."""
+    values = sorted(values)
+    if len(values) > 1:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = q3 = values[0]
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1,
+            "min": values[0], "max": values[-1], "n": len(values)}
+
+
+def summarise(pairs, lower_is_better=True):
+    """Per metric: both sides' spread, the median ratio and the pairs won."""
+    names = sorted(set().union(*(p["parent"].get("metrics", {}) for p in pairs)))
+    out = {}
+    for name in names:
+        both = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs
+                if name in p["parent"].get("metrics", {})
+                and name in p["change"].get("metrics", {})]
+        if not both:
+            continue
+        parent = spread([a for a, _ in both])
+        change = spread([b for _, b in both])
+        won = sum((b < a) if lower_is_better else (b > a) for a, b in both)
+        out[name] = {"parent": parent, "change": change,
+                     "median_ratio": (change["median"] / parent["median"]
+                                      if parent["median"] else None),
+                     "change_better_pairs": won, "pairs": len(both)}
+    return out
+
+
+def trace_summary(runs):
+    """Median over runs of every self time and of the extra traced figures."""
+    names = sorted({k for r in runs for k in r.get("metrics", {})
+                    if k.endswith(".self_ms") or k in TRACE_EXTRAS})
+    return {k: statistics.median(r["metrics"][k] for r in runs if k in r.get("metrics", {}))
+            for k in names if any(k in r.get("metrics", {}) for r in runs)}
+
+
+def host():
+    info = {"platform": platform.platform(), "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0))}
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                info["cpu"] = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return info
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path)
+    parser.add_argument("--change", required=True, type=Path)
+    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--workloads", default=",".join(WORKLOADS))
+    parser.add_argument("--seeds", default="101-110", type=seed_list)
+    parser.add_argument("--seconds", default=20.0, type=float)
+    parser.add_argument("--trace-runs", default=3, type=int)
+    parser.add_argument("--trace-workloads", default="slotted-rotation-2d")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+
+    record = {
+        "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        # the checkouts are named by their sha below, not by local paths
+        "command": " ".join([Path(sys.argv[0]).name, *(
+            {str(args.parent): "PARENT", str(args.change): "CHANGE"}.get(a, a)
+            for a in sys.argv[1:])]),
+        "host": host(),
+        # the tree of src/ names the measured code even after a commit is amended
+        "checkouts": {side: {"git_sha": git_rev(path, "HEAD"),
+                             "src_tree": git_rev(path, "HEAD:src"),
+                             "dirty": bool(subprocess.run(
+                                 ["git", "-C", str(path), "status", "--porcelain", "src"],
+                                 capture_output=True, text=True).stdout.strip())}
+                      for side, path in sides.items()},
+        "seconds": args.seconds,
+        "workloads": {},
+    }
+
+    def save():
+        # after every workload, so an interrupted record keeps what it measured
+        args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+    save()
+    for workload in filter(None, args.workloads.split(",")):
+        pairs = []
+        for k, seed in enumerate(args.seeds):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side], provenance = run_once(sides[side], workload, seed, args.seconds, 0)
+                # one benchmark provenance per side: numpy, caches, thread settings
+                record["checkouts"][side].setdefault("perfbench_provenance", provenance)
+            pairs.append(pair)
+            print(f"{workload} seed {seed}: " + ", ".join(
+                f"{side} run_s {pair[side].get('metrics', {}).get('run_s')}"
+                for side in ("parent", "change")), flush=True)
+        entry = {"pairs": pairs, "summary": summarise(pairs)}
+        if workload in args.trace_workloads.split(","):
+            traced = {"parent": [], "change": []}
+            for k in range(args.trace_runs):
+                for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+                    traced[side].append(run_once(sides[side], workload, 0, args.seconds, 1)[0])
+            entry["trace_seed0"] = {
+                side: {"runs": len(runs),
+                       "malformed": sum(bool(r.get("malformed")) for r in runs),
+                       "failed": sum(r.get("failed") or 0 for r in runs),
+                       "median": trace_summary(runs)}
+                for side, runs in traced.items()}
+        record["workloads"][workload] = entry
+        save()
+    for workload, entry in record["workloads"].items():
+        for name, s in entry["summary"].items():
+            print(f"{workload:22s} {name:14s} parent {s['parent']['median']:.6g} "
+                  f"(IQR {s['parent']['iqr']:.3g})  change {s['change']['median']:.6g}  "
+                  f"ratio {s['median_ratio']}  won {s['change_better_pairs']}/{s['pairs']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
