@@ -4,7 +4,6 @@ from .analysis import (
     max_stable_sigma,
     phase_dissipation_curve,
     rk4_amplification,
-    scheme_eigenvalue,
     stability_table,
     stencil_eigenvalue,
 )

@@ -2,9 +2,8 @@
 
 Eigenvalues follow the decaying-mode convention (the semi-discrete operator
 is -u d/dx), so centered schemes give purely imaginary values and upwind
-schemes give non-positive real parts.  Two independent evaluation paths are
-provided: closed trigonometric forms per scheme, and the generic transfer
-function assembled from the stencil coefficients.
+schemes give non-positive real parts.  Eigenvalues come from the generic
+transfer function assembled from the stencil coefficients.
 """
 
 import numpy as np
@@ -34,65 +33,10 @@ def stencil_eigenvalue(scheme, betas, speeds=None, h=1.0):
     return total
 
 
-def scheme_eigenvalue(scheme, betas, speeds=None, h=1.0):
-    """Eigenvalue from the closed trigonometric form, summed over dimensions."""
-    betas = _as_tuple(betas)
-    if speeds is None:
-        speeds = (1.0,) * len(betas)
-    name = scheme if isinstance(scheme, str) else scheme.name
-    total = 0.0 + 0.0j
-    for beta, u in zip(betas, speeds):
-        b = np.asarray(beta, dtype=float)
-        if name == "c4":
-            lam = -1j / 12.0 * (16.0 * np.sin(b) - 2.0 * np.sin(2 * b))
-        elif name == "u5":
-            re = -2.0 * np.cos(3 * b) + 12.0 * np.cos(2 * b) - 30.0 * np.cos(b) + 20.0
-            im = 2.0 * np.sin(3 * b) - 18.0 * np.sin(2 * b) + 90.0 * np.sin(b)
-            lam = -(re + 1j * im) / 60.0
-        elif name == "c6":
-            lam = -1j / 60.0 * (
-                2.0 * np.sin(3 * b) - 18.0 * np.sin(2 * b) + 90.0 * np.sin(b)
-            )
-        elif name == "u7":
-            re = (3.0 * np.cos(4 * b) - 24.0 * np.cos(3 * b) + 84.0 * np.cos(2 * b)
-                  - 168.0 * np.cos(b) + 105.0)
-            im = (-3.0 * np.sin(4 * b) + 32.0 * np.sin(3 * b) - 168.0 * np.sin(2 * b)
-                  + 672.0 * np.sin(b))
-            lam = -(re + 1j * im) / 420.0
-        elif name == "u9":
-            re = (-4.0 * np.cos(5 * b) + 40.0 * np.cos(4 * b) - 180.0 * np.cos(3 * b)
-                  + 480.0 * np.cos(2 * b) - 840.0 * np.cos(b) + 504.0)
-            im = (4.0 * np.sin(5 * b) - 50.0 * np.sin(4 * b) + 300.0 * np.sin(3 * b)
-                  - 1200.0 * np.sin(2 * b) + 4200.0 * np.sin(b))
-            lam = -(re + 1j * im) / 2520.0
-        else:
-            raise ValueError(f"unknown scheme {name!r}")
-        total = total + (u / h) * lam
-    return total
-
-
 def rk4_amplification(z):
     """RK4 characteristic polynomial 1 + z + z^2/2 + z^3/6 + z^4/24."""
     z = np.asarray(z)
     return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
-
-
-def rk4_amplification_parts(x, y):
-    """Real and imaginary parts of the amplification, expanded in x and y.
-
-    With z = x + i y:
-      Re g = (1 + x + x^2/2 + x^3/6 + x^4/24) - (y^2/2)(1 + x + x^2/2) + y^4/24
-      Im g = y (1 + x + x^2/2 + x^3/6) - (y^3/6)(1 + x)
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    re = (
-        1.0 + x + x**2 / 2.0 + x**3 / 6.0 + x**4 / 24.0
-        - (y**2 / 2.0) * (1.0 + x + x**2 / 2.0)
-        + y**4 / 24.0
-    )
-    im = y * (1.0 + x + x**2 / 2.0 + x**3 / 6.0) - (y**3 / 6.0) * (1.0 + x)
-    return re, im
 
 
 STABILITY_TOL = 1e-12
@@ -102,15 +46,28 @@ def phase_modes(scheme, dim=1, n_beta=1024):
     """Unit-CFL eigenvalues on a dense phase-angle grid.
 
     The grid is the full [-pi, pi] per dimension, endpoints included, with
-    equal unit speeds in every dimension as the 2D worst case.
+    equal unit speeds in every dimension as the 2D worst case.  In 1D this
+    is the n_beta eigenvalues mu.  In 2D the mode of the angle pair (i, j)
+    is mu[i] + mu[j], which equals mu[j] + mu[i] bit for bit, so each
+    unordered pair i <= j is returned once, folded into a
+    (ceil(n_beta / 2), n_beta + 1) array: row i holds mu[i] + mu[i:]
+    followed by mu[k] + mu[k:] with k = n_beta - 1 - i.  For odd n_beta
+    the middle row has i == k and holds its pairs twice, so every entry is
+    a mode of the full grid and max|g| over the fold is exactly the max
+    over the full grid.
     """
+    if dim not in (1, 2):
+        raise ValueError("dim must be 1 or 2")
     beta = np.linspace(-np.pi, np.pi, n_beta)
     mu = stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
     if dim == 1:
         return mu
-    if dim == 2:
-        return mu[:, None] + mu[None, :]
-    raise ValueError("dim must be 1 or 2")
+    modes = np.empty(((n_beta + 1) // 2, n_beta + 1), dtype=mu.dtype)
+    for i, row in enumerate(modes):
+        k = n_beta - 1 - i
+        np.add(mu[i], mu[i:], out=row[: n_beta - i])
+        np.add(mu[k], mu[k:], out=row[n_beta - i :])
+    return modes
 
 
 def max_amplification(modes, sigma):

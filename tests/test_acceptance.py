@@ -9,7 +9,8 @@ N=256 slotted-cylinder revolution.
 import numpy as np
 import pytest
 
-from fvadvect.analysis import max_stable_sigma, scheme_eigenvalue, stencil_eigenvalue
+from closed_forms import scheme_eigenvalue
+from fvadvect.analysis import max_stable_sigma, stencil_eigenvalue
 from fvadvect.driver import integrate
 from fvadvect.fct import fct_advance
 from fvadvect.grid import CellField, Grid, flux_divergence

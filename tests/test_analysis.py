@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from closed_forms import rk4_amplification_parts, scheme_eigenvalue
+from fvadvect import analysis
 from fvadvect.analysis import (
+    max_amplification,
     max_stable_sigma,
     phase_dissipation_curve,
+    phase_modes,
     rk4_amplification,
-    rk4_amplification_parts,
-    scheme_eigenvalue,
     stability_table,
     stencil_eigenvalue,
 )
@@ -119,6 +121,79 @@ class TestMaxStableSigma:
         assert len(rows) == 5
         names = [r[0] for r in rows]
         assert names == list(SCHEME_NAMES)
+
+
+def full_phase_modes(scheme, n_beta=1024):
+    """The whole 2D mode grid mu[i] + mu[j], both orders of every pair."""
+    mu = phase_modes(scheme, 1, n_beta)
+    return mu[:, None] + mu[None, :]
+
+
+def bits_sorted(z):
+    """The (real, imag) bit patterns of ``z``, in a canonical order."""
+    bits = np.ascontiguousarray(z, dtype=complex).reshape(-1).view(np.int64).reshape(-1, 2)
+    return bits[np.lexsort((bits[:, 1], bits[:, 0]))]
+
+
+class TestFoldedPhaseModes:
+    @pytest.mark.parametrize("n_beta", [16, 17, 255, 1024])
+    def test_fold_is_the_upper_triangle(self, n_beta):
+        fold = phase_modes("u9", 2, n_beta)
+        assert fold.shape == ((n_beta + 1) // 2, n_beta + 1)
+        values = fold.reshape(-1)
+        if n_beta % 2:
+            # the middle row pairs with itself: its second half repeats
+            # its first, bit for bit, and is the only padding
+            middle = fold[n_beta // 2]
+            half = (n_beta + 1) // 2
+            assert np.array_equal(middle[:half].view(np.int64), middle[half:].view(np.int64))
+            values = np.concatenate([fold[: n_beta // 2].reshape(-1), middle[:half]])
+        upper = full_phase_modes("u9", n_beta)[np.triu_indices(n_beta)]
+        assert np.array_equal(bits_sorted(values), bits_sorted(upper))
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_max_amplification_equals_full_grid(self, name):
+        fold = phase_modes(name, 2)
+        full = full_phase_modes(name)
+        for sigma in (0.3, 0.79, 0.8, 1.7, 4.0):
+            assert max_amplification(fold, sigma) == max_amplification(full, sigma)
+
+    def test_bisection_equals_full_grid(self, monkeypatch):
+        folded = stability_table(n_beta=256, tol=1e-3), max_stable_sigma("u9", 2)
+        monkeypatch.setattr(
+            analysis, "phase_modes",
+            lambda scheme, dim=1, n_beta=1024: (
+                full_phase_modes(scheme, n_beta) if dim == 2
+                else phase_modes(scheme, dim, n_beta)
+            ),
+        )
+        full = stability_table(n_beta=256, tol=1e-3), max_stable_sigma("u9", 2)
+        assert folded == full
+
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_one_2d_probe_per_bisection_step_and_no_cache(self, name, monkeypatch):
+        # one rk4_amplification call on a 2D array per probe: the bracket
+        # check at sigma = 4 plus 16 halvings of 4 down to 1e-4
+        calls = []
+        original = analysis.rk4_amplification
+
+        def recorded(z):
+            calls.append(np.ndim(z))
+            return original(z)
+
+        monkeypatch.setattr(analysis, "rk4_amplification", recorded)
+        first = max_stable_sigma(name, 2)
+        assert calls == [2] * 17
+        assert max_stable_sigma(name, 2) == first
+        assert calls == [2] * 34
+
+    def test_bad_dim_raises_before_any_eigenvalue(self, monkeypatch):
+        def no_eigenvalues(*args, **kwargs):
+            raise AssertionError("eigenvalues computed for a bad dim")
+
+        monkeypatch.setattr(analysis, "stencil_eigenvalue", no_eigenvalues)
+        with pytest.raises(ValueError, match="dim must be 1 or 2"):
+            phase_modes("u9", 3)
 
 
 class TestPhaseDissipationCurve:

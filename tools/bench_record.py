@@ -1,8 +1,8 @@
 """Record the benchmark for two checkouts as a committed BENCH_*.json file.
 
-    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_8.json \
-        [--workloads a,b] [--seeds 101-110] [--seconds 20] \
-        [--trace-runs 3] [--trace-workloads slotted-rotation-2d]
+    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_9.json \
+        [--workloads a,b] [--seeds 101-110] [--seconds 20] [--trace-runs 3] \
+        [--trace-workloads slotted-rotation-2d] [--previous BENCH_8.json] [--tier1]
 
 ``--parent`` and ``--change`` are source checkouts (for example an export
 of the parent commit and the working tree).  For every workload and seed
@@ -14,14 +14,21 @@ both sides alike.  Then each traced workload runs ``--trace 1`` at seed 0,
 The file holds the provenance of the host and both checkouts, every pair's
 metrics, and per metric the median, quartiles, IQR, min and max of each
 side, the ratio of the medians and the number of pairs the change won.
-For the traced runs it holds the median per-layer self ms per step.  Every
-run's standard error is merged into its standard output and the last line
-must parse as the benchmark's JSON result; a run where it does not is
-recorded as malformed.  The recorder reports and never gates: its exit
-code is 0 whatever the numbers say.
+For the traced runs it holds the median per-layer self ms and call counts
+per step.  Every run's standard error is merged into its standard output
+and the last line must parse as the benchmark's JSON result; a run where
+it does not is recorded as malformed.  Each run also keeps the benchmark's
+``missing`` report: the traced layers the program no longer has.
+
+``--previous`` names an earlier record, by file and by the ``src`` tree
+of its change checkout; per workload and metric the file then holds the
+ratio of this record's change median to that record's change median.
+``--tier1`` also times the tier-1 suite once per side.  The recorder
+reports and never gates: its exit code is 0 whatever the numbers say.
 """
 
 import argparse
+import ast
 import datetime
 import json
 import os
@@ -29,11 +36,13 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("slotted-rotation-2d", "cosine8-unlimited-2d", "stability-table")
 # Run-to-run figures of a traced run that are not self times.
 TRACE_EXTRAS = ("numpy.roll.calls", "fct.eta_below_one_frac", "trace.overhead_ratio")
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def seed_list(text):
@@ -66,7 +75,8 @@ def run_once(checkout, workload, seed, seconds, trace):
     for line in lines:
         if line.startswith('{"provenance"'):
             provenance = json.loads(line)["provenance"]
-            break
+        elif line.startswith("missing "):
+            record["missing"] = ast.literal_eval(line.split(None, 1)[1])
     try:
         result = json.loads(lines[-1])
         record.update(correct=result["correct"], attempted=result["attempted"],
@@ -111,9 +121,32 @@ def summarise(pairs, lower_is_better=True):
 def trace_summary(runs):
     """Median over runs of every self time and of the extra traced figures."""
     names = sorted({k for r in runs for k in r.get("metrics", {})
-                    if k.endswith(".self_ms") or k in TRACE_EXTRAS})
+                    if k.endswith((".self_ms", ".calls")) or k in TRACE_EXTRAS})
     return {k: statistics.median(r["metrics"][k] for r in runs if k in r.get("metrics", {}))
             for k in names if any(k in r.get("metrics", {}) for r in runs)}
+
+
+def tier1(checkout):
+    """Wall time, exit code and summary line of the tier-1 suite."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "summary": lines[-1] if lines else ""}
+
+
+def versus(entry, previous):
+    """Change median of this record over the previous record's, per metric."""
+    if previous is None:
+        return None
+    ratios = {}
+    for name, s in entry["summary"].items():
+        before = previous.get("summary", {}).get(name, {}).get("change", {}).get("median")
+        ratios[name] = s["change"]["median"] / before if before else None
+    return ratios
 
 
 def host():
@@ -139,8 +172,11 @@ def main(argv=None):
     parser.add_argument("--seconds", default=20.0, type=float)
     parser.add_argument("--trace-runs", default=3, type=int)
     parser.add_argument("--trace-workloads", default="slotted-rotation-2d")
+    parser.add_argument("--previous", type=Path, help="earlier BENCH_*.json")
+    parser.add_argument("--tier1", action="store_true", help="time tier-1 per side")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    previous = json.loads(args.previous.read_text()) if args.previous else None
 
     record = {
         "recorded": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -159,6 +195,10 @@ def main(argv=None):
         "seconds": args.seconds,
         "workloads": {},
     }
+    if previous is not None:
+        change = previous["checkouts"]["change"]
+        record["previous"] = {"file": args.previous.name, "change": change.get("git_sha"),
+                              "change_src_tree": change.get("src_tree")}
 
     def save():
         # after every workload, so an interrupted record keeps what it measured
@@ -179,6 +219,8 @@ def main(argv=None):
                 f"{side} run_s {pair[side].get('metrics', {}).get('run_s')}"
                 for side in ("parent", "change")), flush=True)
         entry = {"pairs": pairs, "summary": summarise(pairs)}
+        if previous is not None:
+            entry["vs_previous"] = versus(entry, previous["workloads"].get(workload))
         if workload in args.trace_workloads.split(","):
             traced = {"parent": [], "change": []}
             for k in range(args.trace_runs):
@@ -188,15 +230,22 @@ def main(argv=None):
                 side: {"runs": len(runs),
                        "malformed": sum(bool(r.get("malformed")) for r in runs),
                        "failed": sum(r.get("failed") or 0 for r in runs),
+                       "missing": sorted({m for r in runs for m in r.get("missing", ())}),
                        "median": trace_summary(runs)}
                 for side, runs in traced.items()}
         record["workloads"][workload] = entry
+        save()
+    if args.tier1:
+        record["tier1"] = {side: tier1(path) for side, path in sides.items()}
         save()
     for workload, entry in record["workloads"].items():
         for name, s in entry["summary"].items():
             print(f"{workload:22s} {name:14s} parent {s['parent']['median']:.6g} "
                   f"(IQR {s['parent']['iqr']:.3g})  change {s['change']['median']:.6g}  "
-                  f"ratio {s['median_ratio']}  won {s['change_better_pairs']}/{s['pairs']}")
+                  f"ratio {s['median_ratio']}  won {s['change_better_pairs']}/{s['pairs']}"
+                  f"  vs previous {(entry.get('vs_previous') or {}).get(name)}")
+    for side, t in record.get("tier1", {}).items():
+        print(f"tier-1 {side}: {t['wall_s']:.1f} s, {t['summary']}")
     return 0
 
 
