@@ -9,7 +9,7 @@ from .analysis import (
 )
 from .driver import NumericsError, RunResult, integrate
 from .fct import fct_advance
-from .grid import CellField, Grid, conserved_sum, fill_ghosts, flux_divergence
+from .grid import CellField, Grid, Workspace, conserved_sum, fill_ghosts, flux_divergence
 from .problems import (
     ErrorRecord,
     ProblemSpec,

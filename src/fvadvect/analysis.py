@@ -70,21 +70,29 @@ def phase_modes(scheme, dim=1, n_beta=1024):
     return modes
 
 
-def max_amplification(modes, sigma):
-    """Largest RK4 amplification |g(sigma * mode)| over ``modes``."""
-    return float(np.max(np.abs(rk4_amplification(sigma * modes))))
+def max_amplification(modes, sigma, scaled=None):
+    """Largest RK4 amplification |g(sigma * mode)| over ``modes``.
+
+    ``sigma * modes`` is formed in ``scaled`` (an array of the shape and
+    type of ``modes``, fresh when not given), and the magnitudes |g| in its
+    real part, which is free once g is formed.
+    """
+    z = np.multiply(sigma, modes, out=scaled)
+    return float(np.max(np.abs(rk4_amplification(z), out=z.real)))
 
 
 def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
     """Largest CFL number, found by bisection on the worst amplification.
 
     Scans |g| over ``phase_modes`` and accepts sigma when
-    max|g| <= 1 + STABILITY_TOL.
+    max|g| <= 1 + STABILITY_TOL.  Every probe reuses one buffer for the
+    scaled modes and their amplification magnitudes.
     """
     modes = phase_modes(scheme, dim, n_beta)
+    scaled = np.empty_like(modes)
 
     def stable(sig):
-        return max_amplification(modes, sig) <= 1.0 + STABILITY_TOL
+        return max_amplification(modes, sig, scaled) <= 1.0 + STABILITY_TOL
 
     lo, hi = 0.0, 4.0
     if stable(hi):

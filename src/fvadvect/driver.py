@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fct import fct_advance
-from .grid import conserved_sum
+from .grid import Workspace, conserved_sum
 from .schemes import default_product_order, face_flow, scheme_coefficients
 from .velocity import cell_average_velocity, face_average_velocity, max_speed
 
@@ -61,11 +61,15 @@ def integrate(
     The step size is sigma * h / max_speed, with the last step shrunk to
     land exactly on ``t_final`` (the effective CFL only decreases).  The
     velocity-only part of the face fluxes (``schemes.face_flow``) is
-    computed once, before the first step.  When ``collect_eta_stats`` is
-    set, each step appends (min eta, mean eta, fraction of faces with
-    eta < 1).  ``on_step`` is called as ``on_step(step_index, time, field)``
-    after every step.  A ``q0`` with a non-finite cell is rejected with a
-    ``ValueError`` naming the first such cell, before any step.
+    computed once, before the first step, and so is the ``Workspace``
+    every step writes into; ``q0`` is only read.  When
+    ``collect_eta_stats`` is set, each step appends (min eta, mean eta,
+    fraction of faces with eta < 1).  ``on_step`` is called as
+    ``on_step(step_index, time, field)`` after every step; ``field`` is a
+    workspace frame, valid until the next step overwrites it, so a
+    callback that keeps it must copy it.  A ``q0`` with a non-finite cell
+    is rejected with a ``ValueError`` naming the first such cell, before
+    any step.
     """
     if isinstance(scheme, str):
         scheme = scheme_coefficients(scheme)
@@ -87,13 +91,15 @@ def integrate(
     speed = max_speed(velocity, grid)
     dt = sigma * grid.h / speed
 
-    q = q0.copy()
     conserved = conserved_sum(q0)
     result = RunResult(
-        field=q, steps=0, dt=dt, conserved_initial=conserved, conserved_final=conserved
+        field=q0.copy(), steps=0, dt=dt, conserved_initial=conserved, conserved_final=conserved
     )
     if t_final == 0.0:
         return result
+
+    ws = Workspace(grid)
+    q = q0
 
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-9)))
     t = 0.0
@@ -102,9 +108,9 @@ def integrate(
         step_sigma = speed * step_dt / grid.h
         q, etas = fct_advance(
             q, flow, u_cell, step_dt, step_sigma, scheme,
-            limiter=limiter, preconstraint=preconstraint, force_eta=force_eta,
+            limiter=limiter, preconstraint=preconstraint, force_eta=force_eta, ws=ws,
         )
-        if not np.all(np.isfinite(q.interior)):
+        if not np.all(np.isfinite(q.interior, out=ws.active[0])):
             raise NumericsError(step)
         if collect_eta_stats and etas is not None:
             flat = np.concatenate([e.ravel() for e in etas])

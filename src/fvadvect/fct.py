@@ -22,9 +22,11 @@ while for face quantities seen from cell i, the left face is offset 0 and
 the right face offset +1.
 """
 
+import itertools
+
 import numpy as np
 
-from .grid import Padded, fill_ghosts, flux_divergence, neighbour_apply, periodic_pad
+from .grid import Padded, Workspace, fill_ghosts, flux_divergence, neighbour_apply, periodic_pad
 from .highorder import rk4_high_order_step
 from .loworder import ctu_fluxes, low_order_update
 
@@ -63,9 +65,14 @@ def second_differences(q):
     return tuple(out)
 
 
-def antidiffusive(F_high, F_low):
-    """High-order minus low-order flux, per dimension per face."""
-    return tuple(fh - fl for fh, fl in zip(F_high, F_low))
+def antidiffusive(F_high, F_low, out=None):
+    """High-order minus low-order flux, per dimension per face.
+
+    Written into the arrays of ``out`` (fresh ones by default), which may
+    be ``F_high`` itself.
+    """
+    out = (None,) * len(F_high) if out is None else out
+    return tuple(np.subtract(fh, fl, out=o) for fh, fl, o in zip(F_high, F_low, out))
 
 
 def preconstrain(A, q_td, d2q, u_faces, dt, h):
@@ -392,21 +399,55 @@ def hybridize(A, R_in, R_out):
     return tuple(etas)
 
 
-def limiter_window(A, dt, h, scale):
+class Window:
+    """The cells of a limiter window, one block per run of grid indices.
+
+    ``spans`` holds per axis the ``(grid slice, window slice)`` pairs that
+    make up the window along it: one for an axis taken whole or cut
+    without wrapping round, two for a cut that wraps.  Every block is read
+    and written through basic slices.
+    """
+
+    def __init__(self, spans, grid_shape):
+        self.shape = tuple(pairs[-1][1].stop for pairs in spans)
+        self.whole = self.shape == grid_shape
+        self.blocks = [tuple(zip(*block)) for block in itertools.product(*spans)]
+
+    def __call__(self, a):
+        """The window of grid array ``a``: ``a`` itself for the whole grid, else a copy."""
+        if self.whole:
+            return a
+        out = np.empty(self.shape, a.dtype)
+        for in_grid, in_window in self.blocks:
+            out[in_window] = a[in_grid]
+        return out
+
+    def subtract(self, a, w):
+        """Subtract the window array ``w`` from the window of ``a``, in place."""
+        for in_grid, in_window in self.blocks:
+            a[in_grid] -= w[in_window]
+
+
+def limiter_window(A, dt, h, scale, scratch, active):
     """``(cut, core, inner)`` for the faces the limiter must see, or None.
 
     A face is active where |A| dt/h > ANTIDIFFUSION_TOL * scale.  Per axis
     the core is the shortest circular run of faces holding every active
     one (the complement of the largest inactive gap); the window pads it
     by LIMITER_REACH cells per side, or is the whole axis once that
-    reaches n, where the periodic wrap is exact.  ``cut(a)`` copies the
-    window out of a grid array (it is ``a`` itself for the whole grid);
-    ``core`` and ``inner`` index the core faces in the grid and window.
+    reaches n, where the periodic wrap is exact.  ``cut`` is the
+    ``Window``: ``cut(a)`` is the window of a grid array; ``core`` and
+    ``inner`` index the core faces in the grid and in the window.
+    ``scratch`` is a grid array to work in and ``active`` one boolean grid
+    array per axis, which receive the active faces.
     """
-    active = [np.abs(a) * (dt / h) > ANTIDIFFUSION_TOL * scale for a in A]
-    takes, core, inner = [], [], []
-    for ax, n in enumerate(A[0].shape):
-        others = tuple(x for x in range(A[0].ndim) if x != ax)
+    for a, mask in zip(A, active):
+        np.abs(a, out=scratch)
+        scratch *= dt / h
+        np.greater(scratch, ANTIDIFFUSION_TOL * scale, out=mask)
+    shape, spans, core, inner = A[0].shape, [], [], []
+    for ax, n in enumerate(shape):
+        others = tuple(x for x in range(len(shape)) if x != ax)
         hits = np.flatnonzero(np.any([m.any(axis=others) for m in active], axis=0))
         if hits.size == 0:
             return None
@@ -415,17 +456,19 @@ def limiter_window(A, dt, h, scale):
         start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
         run = np.arange(start, start + length)
         core.append(run % n)
-        if length + 2 * LIMITER_REACH < n:
-            takes.append((ax, np.arange(start - LIMITER_REACH, start + length + LIMITER_REACH)))
+        size = length + 2 * LIMITER_REACH
+        if size < n:
+            lo = (start - LIMITER_REACH) % n
+            first = min(size, n - lo)
+            pairs = [(slice(lo, lo + first), slice(0, first))]
+            if first < size:  # the window wraps round the periodic boundary
+                pairs.append((slice(0, size - first), slice(first, size)))
+            spans.append(pairs)
             run += LIMITER_REACH - start
+        else:
+            spans.append(((slice(0, n), slice(0, n)),))
         inner.append(run % n)
-
-    def cut(a):
-        for ax, idx in takes:
-            a = np.take(a, idx, axis=ax, mode="wrap")
-        return a
-
-    return cut, np.ix_(*core), np.ix_(*inner)
+    return Window(spans, shape), np.ix_(*core), np.ix_(*inner)
 
 
 def fct_advance(
@@ -438,6 +481,7 @@ def fct_advance(
     limiter="on",
     preconstraint=True,
     force_eta=None,
+    ws=None,
 ):
     """One full time step.  Returns ``(q_new, etas)``.
 
@@ -456,6 +500,11 @@ def fct_advance(
     constant in [0, 1] on the whole grid (0 recovers CTU bitwise, 1 with
     ``preconstraint=False`` recovers the high-order update to roundoff).
     Both arguments are checked before any flux is computed.
+
+    Every whole-grid array of the step is a buffer of ``ws``, the run's
+    ``Workspace`` (a fresh one by default).  ``qn`` is only read; ``q_new``
+    is ``ws.next_frame(qn)`` and the whole-grid ``etas`` are ``ws.flux``,
+    so both stay valid until the next step with the same workspace.
     """
     if limiter not in LIMITER_MODES:
         raise ValueError(
@@ -464,49 +513,58 @@ def fct_advance(
     if force_eta is not None and not 0.0 <= force_eta <= 1.0:
         raise ValueError(f"force_eta must lie in [0, 1], got {force_eta!r}")
     grid = qn.grid
+    ws = Workspace(grid) if ws is None else ws
     u_faces = flow.u_faces
     if limiter == "off-low":
-        F_low = ctu_fluxes(qn, u_faces, dt, grid)
-        return low_order_update(qn, F_low, dt), None
-    q_high, F_high = rk4_high_order_step(qn, flow, dt, scheme)
+        F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
+        return low_order_update(qn, F_low, dt, ws), None
+    F_high = rk4_high_order_step(qn, flow, dt, scheme, ws)
     if limiter == "off":
-        return q_high, None
-    del q_high
+        return low_order_update(qn, F_high, dt, ws), None
 
-    F_low = ctu_fluxes(qn, u_faces, dt, grid)
-    q_td = low_order_update(qn, F_low, dt)
-    A = antidiffusive(F_high, F_low)
-    del F_high, F_low
+    F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
+    q_td = low_order_update(qn, F_low, dt, ws)
+    A = antidiffusive(F_high, F_low, F_high)
     qn_in, td_in, h = qn.interior, q_td.interior, grid.h
+    # F_low's storage is free once A is formed
+    etas = ws.flux
+    for eta in etas:
+        eta.fill(0.0 if force_eta is None else float(force_eta))
     if force_eta is not None:
         if preconstraint:
             A = preconstrain(A, td_in, second_differences(qn_in), u_faces, dt, h)
-        etas = tuple(np.full(grid.shape, float(force_eta)) for _ in range(grid.dim))
         for a, eta in zip(A, etas):
             a *= eta
-    else:
-        scale = float(np.max(np.abs(qn_in)))
-        etas = tuple(np.zeros(grid.shape) for _ in A)
-        window = limiter_window(A, dt, h, scale)
-        if window is None:
-            return q_td, etas
-        cut, core, inner = window
-        qn_w, td_w, A_w = cut(qn_in), cut(td_in), tuple(map(cut, A))
-        d2q = second_differences(qn_w)
-        if preconstraint:
-            A_w = preconstrain(A_w, td_w, d2q, tuple(map(cut, u_faces)), dt, h)
-        q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(cut, u_cell)), sigma)
-        flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
-        q_max, q_min = extremum_bound_correction(flags, qn_w, d2q, q_max, q_min, scale)
-        oscillating = flags & laplacian_flags(qn_w, d2q, h, q_td=td_w)
-        R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h)
-        A = tuple(np.zeros(grid.shape) for _ in A)
-        for a, a_w, eta, eta_w in zip(A, A_w, etas, hybridize(A_w, R_in, R_out)):
-            eta_w = eta_w[inner]
-            if not np.all((eta_w >= 0.0) & (eta_w <= 1.0)):
-                raise AssertionError("hybridization coefficient left [0, 1]")
-            eta[core] = eta_w
-            a[core] = a_w[inner] * eta_w
-    # q_td's storage is free once the bounds are built
-    td_in -= flux_divergence(grid, A, dt)
+        td_in -= flux_divergence(grid, A, dt, *ws.scratch)
+        return fill_ghosts(q_td), etas
+
+    scale = float(np.max(np.abs(qn_in, out=ws.face)))
+    window = limiter_window(A, dt, h, scale, ws.face, ws.active)
+    if window is None:
+        return q_td, etas
+    cut, core, inner = window
+    qn_w, td_w, A_w = cut(qn_in), cut(td_in), tuple(map(cut, A))
+    d2q = second_differences(qn_w)
+    if preconstraint:
+        A_w = preconstrain(A_w, td_w, d2q, tuple(map(cut, u_faces)), dt, h)
+    q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(cut, u_cell)), sigma)
+    flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
+    q_max, q_min = extremum_bound_correction(flags, qn_w, d2q, q_max, q_min, scale)
+    oscillating = flags & laplacian_flags(qn_w, d2q, h, q_td=td_w)
+    R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h)
+    # the limited antidiffusion on the window: eta * A at the core faces,
+    # zero elsewhere, as it is on the rest of the grid
+    limited = []
+    for a_w, eta, eta_w in zip(A_w, etas, hybridize(A_w, R_in, R_out)):
+        eta_w = eta_w[inner]
+        if not np.all((eta_w >= 0.0) & (eta_w <= 1.0)):
+            raise AssertionError("hybridization coefficient left [0, 1]")
+        eta[core] = eta_w
+        corrected = np.zeros(a_w.shape)
+        corrected[inner] = a_w[inner] * eta_w
+        limited.append(corrected)
+    # q_td's storage is free once the bounds are built; cells outside the
+    # window keep q_td, and inside it each cell sees the same sum as on
+    # the whole grid
+    cut.subtract(td_in, flux_divergence(grid, limited, dt))
     return fill_ghosts(q_td), etas

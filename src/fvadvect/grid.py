@@ -153,6 +153,33 @@ class CellField:
         return CellField(self.grid, self.data.copy())
 
 
+class Workspace:
+    """Every whole-grid buffer of one step, allocated once and reused.
+
+    ``integrate`` builds one per run; a kernel called without one builds
+    its own.  ``frames`` are two ghosted fields used in turn: a step reads
+    its state from one and leaves every state it forms (RK4 stages, then
+    the new state) in the other, ``next_frame(qn)``.  ``flux_high`` and
+    ``flux`` hold one face array per axis: the combined high-order flux
+    (then the antidiffusive flux) and a stage flux (then the CTU flux,
+    then the returned etas).  ``face`` holds face values, ``scratch``
+    two arrays that no kernel keeps across calls, and ``active`` one
+    boolean array per axis for the limiter's active faces.
+    """
+
+    def __init__(self, grid):
+        self.frames = (CellField(grid), CellField(grid))
+        self.flux_high = tuple(np.empty(grid.shape) for _ in range(grid.dim))
+        self.flux = tuple(np.empty(grid.shape) for _ in range(grid.dim))
+        self.face = np.empty(grid.shape)
+        self.scratch = (np.empty(grid.shape), np.empty(grid.shape))
+        self.active = tuple(np.empty(grid.shape, bool) for _ in range(grid.dim))
+
+    def next_frame(self, qn):
+        """The frame a step from ``qn`` writes: whichever ``qn`` is not."""
+        return self.frames[1] if qn is self.frames[0] else self.frames[0]
+
+
 def axis_index(axis, sl, ndim, rest=slice(None)):
     """Index tuple taking ``sl`` along ``axis`` and ``rest`` along the others."""
     return tuple(sl if ax == axis else rest for ax in range(ndim))
@@ -259,16 +286,18 @@ def conserved_sum(f):
     return math.fsum(f.interior.ravel().tolist()) * f.grid.h ** f.grid.dim
 
 
-def flux_divergence(grid, fluxes, dt):
+def flux_divergence(grid, fluxes, dt, out=None, diff=None):
     """Conservative increment ``(dt/h) * sum_d [F_d(right) - F_d(left)]``.
 
     ``fluxes`` is a tuple of per-dimension face arrays in the shared-face
-    layout described in the module docstring.  The result is the interior
-    array to SUBTRACT from a cell field; its interior sum telescopes to
-    zero under periodicity.
+    layout described in the module docstring, on the grid or on a window of
+    it.  The result, written into ``out``, is the array to SUBTRACT from a
+    cell field; its sum telescopes to zero under periodicity.  ``diff`` is
+    scratch; both are fresh arrays when not given.
     """
-    out = np.zeros(grid.shape)
-    diff = np.empty(grid.shape)
+    out = np.empty(fluxes[0].shape) if out is None else out
+    diff = np.empty(out.shape) if diff is None else diff
+    out.fill(0.0)
     for d, F in enumerate(fluxes):
         out += neighbour_apply(np.subtract, F, 1, F, 0, d, diff)
     out *= dt / grid.h

@@ -5,49 +5,58 @@ stage state.  Everything those fluxes need from the frozen velocity (the
 upwind orientation and the product-rule weights) comes precomputed in a
 ``FaceFlow``, so a stage does only work that depends on q.  The stage
 fluxes are summed as they come with the familiar 1/6 (1, 2, 2, 1) weights
-into a single high-order face flux, so the update can also be written in
-conservation form.
+into a single high-order face flux, so the update can be written in
+conservation form: ``loworder.low_order_update`` applies it.  Every array
+a step writes is a buffer of the run's ``Workspace``.
 """
 
-from .grid import CellField, flux_divergence
+import numpy as np
+
+from .grid import Workspace, fill_ghosts, flux_divergence
 from .schemes import face_interpolate, product_rule_flux
 
 RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 
 
-def spatial_flux(q, flow, scheme):
-    """Per-dimension face fluxes of q*u for one solution state."""
-    return tuple(
-        product_rule_flux(face_interpolate(q, scheme, d, flow), flow, d)
-        for d in range(q.grid.dim)
-    )
+def spatial_flux(q, flow, scheme, ws=None, out=None):
+    """Per-dimension face fluxes of q*u for one solution state.
+
+    Written into ``out`` (by default the workspace's ``flux``).
+    """
+    ws = Workspace(q.grid) if ws is None else ws
+    out = ws.flux if out is None else out
+    term, twice = ws.scratch
+    for d in range(q.grid.dim):
+        face = face_interpolate(q, scheme, d, flow, ws.face, term, twice)
+        product_rule_flux(face, flow, d, out[d], term, twice)
+    return out
 
 
-def rk4_high_order_step(qn, flow, dt, scheme):
-    """One unlimited high-order step.
+def rk4_high_order_step(qn, flow, dt, scheme, ws=None):
+    """The combined high-order face fluxes of one unlimited step.
 
-    Returns ``(q_high, F_high)``: the updated field and the combined
-    high-order face fluxes whose divergence reproduces the same update.
-    No limiting happens at any stage.  Each stage flux is added into one
-    accumulator per axis in the order of ``(F0 + 2 F1 + 2 F2 + F3) / 6``,
-    so the combined flux equals that expression bitwise.
+    Their divergence is the RK4 update (``loworder.low_order_update``
+    forms it).  No limiting happens at any stage.  Each stage flux is
+    added into one accumulator per axis, the workspace's ``flux_high``,
+    in the order of ``(F0 + 2 F1 + 2 F2 + F3) / 6``, so the combined flux
+    equals that expression bitwise.  The stage states are written into
+    ``ws.next_frame(qn)``; ``qn`` is only read.
     """
     grid = qn.grid
-    q0 = qn.interior.copy()
+    ws = Workspace(grid) if ws is None else ws
+    F_high, stage_state = ws.flux_high, ws.next_frame(qn)
     state = qn
     for stage, weight in enumerate(RK4_WEIGHTS):
-        F = spatial_flux(state, flow, scheme)
+        F = spatial_flux(state, flow, scheme, ws, F_high if stage == 0 else ws.flux)
         if stage < 3:
-            frac = 0.5 if stage < 2 else 1.0
-            k = flux_divergence(grid, F, dt)
-            state = CellField.from_interior(grid, q0 - frac * k)
-        if stage == 0:
-            F_high = list(F)
-        else:
+            k = flux_divergence(grid, F, dt, ws.face, ws.scratch[0])
+            k *= 0.5 if stage < 2 else 1.0
+            np.subtract(qn.interior, k, out=stage_state.interior)
+            state = fill_ghosts(stage_state)
+        if stage > 0:
             for acc, f in zip(F_high, F):
-                acc += weight * f
+                f *= weight
+                acc += f
     for acc in F_high:
         acc /= 6.0
-    F_high = tuple(F_high)
-    q_high = CellField.from_interior(grid, q0 - flux_divergence(grid, F_high, dt))
-    return q_high, F_high
+    return F_high

@@ -16,33 +16,52 @@ CFL numbers up to one, independent of dimensionality.
 
 import numpy as np
 
-from .grid import CellField, flux_divergence, neighbour_apply, periodic_pad
+from .grid import Workspace, fill_ghosts, flux_divergence, neighbour_apply
 
 
-def _donor(values, u_face):
-    """Donor-cell face values of a ``Padded``: the upstream cell per face."""
-    return np.where(u_face >= 0.0, values.at(-1), values.at(0))
+def _donor_flux(values, u_face, positive, out):
+    """``u_face`` times the upstream cell of each face, read from a ``Padded``.
+
+    ``positive`` marks the faces with ``u_face >= 0``.
+    """
+    np.multiply(u_face, values.at(0), out=out)
+    return np.multiply(u_face, values.at(-1), out=out, where=positive)
 
 
-def ctu_fluxes(qn, u_faces, dt, grid):
-    """Per-dimension CTU face fluxes for one step of size ``dt``."""
-    upwind_flux = [u_faces[d] * _donor(qn.along(d), u_faces[d]) for d in range(grid.dim)]
-    diff = np.empty(grid.shape)
-    out = []
+def ctu_fluxes(qn, u_faces, dt, grid, ws=None, positive=None):
+    """Per-dimension CTU face fluxes for one step of size ``dt``.
+
+    Written into the workspace's ``flux``; the predicted state q_tilde is
+    formed in ``ws.next_frame(qn)``, which is free until the update.
+    ``positive`` holds per axis the mask of faces with u >= 0 (the run's
+    ``FaceFlow.positive``); it is formed here when not given.
+    """
+    ws = Workspace(grid) if ws is None else ws
+    positive = tuple(u >= 0.0 for u in u_faces) if positive is None else positive
+    q_tilde = ws.next_frame(qn)
+    upwind, diff = ws.scratch
+    out = ws.flux
     for d in range(grid.dim):
-        q_tilde = np.zeros(grid.shape)
+        transverse = out[d]
+        transverse.fill(0.0)
         for dp in range(grid.dim):
             if dp != d:
-                q_tilde += neighbour_apply(np.subtract, upwind_flux[dp], 1, upwind_flux[dp], 0, dp, diff)
-        q_tilde *= dt / (2.0 * grid.h)
-        np.subtract(qn.interior, q_tilde, out=q_tilde)
-        out.append(u_faces[d] * _donor(periodic_pad(q_tilde, 1, d), u_faces[d]))
-    return tuple(out)
+                _donor_flux(qn.along(dp), u_faces[dp], positive[dp], upwind)
+                transverse += neighbour_apply(np.subtract, upwind, 1, upwind, 0, dp, diff)
+        transverse *= dt / (2.0 * grid.h)
+        np.subtract(qn.interior, transverse, out=q_tilde.interior)
+        _donor_flux(fill_ghosts(q_tilde).along(d), u_faces[d], positive[d], out[d])
+    return out
 
 
-def low_order_update(qn, fluxes, dt):
-    """Transported-diffused solution from the low-order fluxes."""
+def low_order_update(qn, fluxes, dt, ws=None):
+    """``qn`` less the divergence of ``fluxes``, in ``ws.next_frame(qn)``.
+
+    With the CTU fluxes this is the transported-diffused solution; with
+    the combined RK4 fluxes, the unlimited high-order update.
+    """
     grid = qn.grid
-    return CellField.from_interior(
-        grid, qn.interior - flux_divergence(grid, fluxes, dt)
-    )
+    ws = Workspace(grid) if ws is None else ws
+    out = ws.next_frame(qn)
+    np.subtract(qn.interior, flux_divergence(grid, fluxes, dt, *ws.scratch), out=out.interior)
+    return fill_ghosts(out)

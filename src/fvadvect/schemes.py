@@ -14,6 +14,7 @@ upwind orientation per axis and the product-rule weights) is computed once
 into a ``FaceFlow`` and reused by every stage of every step.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -182,67 +183,90 @@ def product_rule_weights(u_face, order, d, grid):
 class FaceFlow:
     """What the face fluxes of one run need from the frozen velocity.
 
-    Per axis: the face velocities, their ``upwind_orientation`` blocks and
-    their ``product_rule_weights``.  ``face_flow`` builds it once per run.
+    Per axis: the face velocities, their ``upwind_orientation`` blocks,
+    their ``product_rule_weights``, the mask ``positive`` of faces with
+    u >= 0 (upstream cell on the left) and, only where there are no
+    orientation blocks, its complement ``negative`` (None elsewhere).
+    ``face_flow`` builds it once per run.
     """
 
     u_faces: tuple
     orientations: tuple
     weights: tuple
+    positive: tuple
+    negative: tuple
 
 
 def face_flow(u_faces, grid, order):
     """The ``FaceFlow`` of per-axis face velocities for a product-rule order."""
+    orientations = tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces))
+    positive = tuple(u >= 0.0 for u in u_faces)
     return FaceFlow(
         tuple(u_faces),
-        tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces)),
+        orientations,
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
+        positive,
+        tuple(~plus if o is None else None for o, plus in zip(orientations, positive)),
     )
 
 
-def _stencil_sum(q, scheme, d, mirrored, index=..., out=None):
-    """The stencil applied at the faces ``index`` (all by default)."""
+def _stencil_sum(q, scheme, d, mirrored, out, term, index=..., where=True):
+    """Add the stencil at the faces ``index`` into ``out``, where ``where``.
+
+    ``out`` and the scratch ``term`` have the shape of those faces.
+    """
     dim = q.grid.dim
-    if out is None:
-        out = np.zeros(q.grid.shape)
-    else:
-        out.fill(0.0)
-    term = np.empty(out.shape)
     for s, a in zip(scheme.offsets, scheme.coefficients):
         view = q.shifted(_axis_offset(d, -s if mirrored else s - 1, dim))[index]
-        out += np.multiply(view, a, out=term)
+        np.multiply(view, a, out=term, where=where)
+        np.add(out, term, out=out, where=where)
     return out
 
 
-def face_interpolate(q, scheme, d, flow=None):
+def _prefix(a, shape):
+    """The contiguous leading entries of ``a``, viewed with ``shape``."""
+    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+
+
+def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
     """Face values of the cell field ``q`` along axis ``d``.
 
     Face index k sits between cells k-1 and k, so the positive-velocity
     stencil reads cells (k-1)+s and the mirrored one reads cells k-s.
     Upwind schemes take the orientation from the ``FaceFlow``: each block
     of faces sharing one (see ``upwind_orientation``) is built once with
-    that orientation only; where the sign varies along the normal both are
-    built and chosen per face (ties at u == 0 take the positive
-    orientation).  Centered schemes ignore ``flow``.
+    that orientation only, its scratch a contiguous prefix of ``term``;
+    where the sign varies along the normal each face is built with its
+    own orientation (ties at u == 0 take the positive one).  Centered
+    schemes ignore ``flow``.  The values are written into ``out``;
+    ``out`` and the scratch ``term`` and ``total`` are fresh arrays when
+    not given.
     """
-    if not scheme.is_upwind:
-        return _stencil_sum(q, scheme, d, False)
-    if flow is None:
+    if scheme.is_upwind and flow is None:
         raise ValueError("upwind interpolation needs face velocities")
+    out, term, total = (np.empty(q.grid.shape) if a is None else a for a in (out, term, total))
+    if not scheme.is_upwind:
+        out.fill(0.0)
+        return _stencil_sum(q, scheme, d, False, out, term)
     blocks = flow.orientations[d]
     if blocks is None:
-        return np.where(
-            flow.u_faces[d] >= 0.0,
-            _stencil_sum(q, scheme, d, False),
-            _stencil_sum(q, scheme, d, True),
-        )
-    out = np.empty(q.grid.shape)
+        out.fill(0.0)
+        _stencil_sum(q, scheme, d, False, out, term, where=flow.positive[d])
+        return _stencil_sum(q, scheme, d, True, out, term, where=flow.negative[d])
     for index, mirrored in blocks:
-        _stencil_sum(q, scheme, d, mirrored, index, out[index])
+        block = out[index]
+        # a strided block (a run of columns) is summed in a contiguous
+        # prefix of ``total`` and copied in once: in-place adds on the
+        # strided block itself take several times as long
+        acc = block if block.flags.c_contiguous else _prefix(total, block.shape)
+        acc.fill(0.0)
+        _stencil_sum(q, scheme, d, mirrored, acc, _prefix(term, block.shape), index)
+        if acc is not block:
+            block[...] = acc
     return out
 
 
-def product_rule_flux(q_face, flow, d):
+def product_rule_flux(q_face, flow, d, out=None, term=None, twice=None):
     """Face average of q*u from the face averages of the factors.
 
     order 2:  plain product.
@@ -265,17 +289,19 @@ def product_rule_flux(q_face, flow, d):
     ``q_face*u_face + w1*D1(q) + w2*D2(q) + w0*L(q)`` per transverse axis,
     with the weights of ``flow`` (see ``product_rule_weights``).  With no
     transverse axes (1D), at order 2, or where the weights vanish, the flux
-    is exactly ``q_face * u_face``.
+    is exactly ``q_face * u_face``.  The flux is written into ``out``;
+    ``out`` and the scratch ``term`` and ``twice`` are fresh arrays when
+    not given.
     """
-    flux = q_face * flow.u_faces[d]
+    out, term, twice = (np.empty(q_face.shape) if a is None else a for a in (out, term, twice))
+    flux = np.multiply(q_face, flow.u_faces[d], out=out)
     for t, w1, w2, w0 in flow.weights[d]:
-        term = np.empty_like(flux)
         d1 = neighbour_apply(np.subtract, q_face, 1, q_face, -1, t, term)
         flux += np.multiply(w1, d1, out=term)
         if w2 is not None:
             d2 = neighbour_apply(np.subtract, q_face, 2, q_face, -2, t, term)
             flux += np.multiply(w2, d2, out=term)
-            twice = np.multiply(2.0, q_face)
+            np.multiply(2.0, q_face, out=twice)
             lap = neighbour_apply(np.add, q_face, 1, q_face, -1, t, term)
             lap -= twice
             flux += np.multiply(w0, lap, out=term)

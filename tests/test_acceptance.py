@@ -199,7 +199,7 @@ def test_criterion_06_degeneracy_oracles(velocity):
     dt = 0.8 * grid.h / max(1.0, np.pi)
 
     flow = face_flow(uf, grid, 4)
-    q_high, _ = rk4_high_order_step(q, flow, dt, s)
+    q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt)
     q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
     high_gap = float(np.max(np.abs(q_one.interior - q_high.interior)))
 

@@ -108,7 +108,7 @@ def core_mask(A, dt, g, scale):
 def masked_full_grid_step(qn, flow, u_cell, dt, sigma, preconstraint):
     """The parent's whole-grid limited step with eta zeroed outside the core."""
     g, u_faces = qn.grid, flow.u_faces
-    _, F_high = rk4_high_order_step(qn, flow, dt, SCHEME)
+    F_high = rk4_high_order_step(qn, flow, dt, SCHEME)
     F_low = ctu_fluxes(qn, u_faces, dt, g)
     q_td = low_order_update(qn, F_low, dt)
     A = fct.antidiffusive(F_high, F_low)

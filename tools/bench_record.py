@@ -20,6 +20,10 @@ and the last line must parse as the benchmark's JSON result; a run where
 it does not is recorded as malformed.  Each run also keeps the benchmark's
 ``missing`` report: the traced layers the program no longer has.
 
+Each checkout is named by the tree of its ``src`` directory, and by its
+HEAD commit only when that commit is in the history of the repository
+this recorder belongs to (an export with a throwaway commit gets
+``git_sha`` null).
 ``--previous`` names an earlier record, by file and by the ``src`` tree
 of its change checkout; per workload and metric the file then holds the
 ratio of this record's change median to that record's change median.
@@ -43,6 +47,7 @@ WORKLOADS = ("slotted-rotation-2d", "cosine8-unlimited-2d", "stability-table")
 # Run-to-run figures of a traced run that are not self times.
 TRACE_EXTRAS = ("numpy.roll.calls", "fct.eta_below_one_frac", "trace.overhead_ratio")
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+REPOSITORY = Path(__file__).resolve().parents[1]
 
 
 def seed_list(text):
@@ -62,6 +67,23 @@ def git_rev(checkout, rev):
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def known_commit(sha):
+    """``sha`` if it is a commit in the history of this recorder's repository.
+
+    The commit must be reachable from a branch or tag: an unreachable
+    commit object can sit in the object store (``git cat-file -e`` finds
+    it) and still be in no clone of the repository.
+    """
+    if sha is None:
+        return None
+    try:
+        out = subprocess.run(["git", "-C", str(REPOSITORY), "for-each-ref", "--count=1",
+                              "--contains", sha], capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return sha if out.returncode == 0 and out.stdout.strip() else None
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -186,7 +208,7 @@ def main(argv=None):
             for a in sys.argv[1:])]),
         "host": host(),
         # the tree of src/ names the measured code even after a commit is amended
-        "checkouts": {side: {"git_sha": git_rev(path, "HEAD"),
+        "checkouts": {side: {"git_sha": known_commit(git_rev(path, "HEAD")),
                              "src_tree": git_rev(path, "HEAD:src"),
                              "dirty": bool(subprocess.run(
                                  ["git", "-C", str(path), "status", "--porcelain", "src"],
@@ -197,7 +219,8 @@ def main(argv=None):
     }
     if previous is not None:
         change = previous["checkouts"]["change"]
-        record["previous"] = {"file": args.previous.name, "change": change.get("git_sha"),
+        record["previous"] = {"file": args.previous.name,
+                              "change": known_commit(change.get("git_sha")),
                               "change_src_tree": change.get("src_tree")}
 
     def save():
