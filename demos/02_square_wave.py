@@ -35,7 +35,7 @@ q0 = initial_condition(spec, grid)
 profiles = {}
 for limiter in ("on", "off", "off-low"):
     result = integrate(q0, velocity, grid, args.scheme, 0.8, 1.0, limiter=limiter)
-    profiles[limiter] = result.field.interior
+    profiles[limiter] = result.field
     print(
         f"limiter={limiter:<8} min={result.solution_min:+.3e} "
         f"max={result.solution_max:.6f} drift={result.conservation_drift:.1e}"
@@ -53,7 +53,7 @@ if args.out:
         fh.write("x,exact,limited,unlimited,low_order\n")
         for i in range(grid.n):
             fh.write(
-                f"{x[i]:.17g},{q0.interior[i]:.17g},{profiles['on'][i]:.17g},"
+                f"{x[i]:.17g},{q0[i]:.17g},{profiles['on'][i]:.17g},"
                 f"{profiles['off'][i]:.17g},{profiles['off-low'][i]:.17g}\n"
             )
     print(f"wrote {args.out}")

@@ -43,6 +43,6 @@ spec = standard_problem("cosine8", "rotation", grid, radius=15 / 128)
 q0 = initial_condition(spec, grid)
 result = integrate(q0, velocity, grid, args.scheme, 0.8, 1.0, limiter="on")
 print(
-    f"\nN={n}: peak {q0.interior.max():.6f} -> {result.field.interior.max():.6f} "
+    f"\nN={n}: peak {q0.max():.6f} -> {result.field.max():.6f} "
     f"after {result.steps} steps, conservation drift {result.conservation_drift:.1e}"
 )

@@ -38,7 +38,7 @@ result = integrate(q0, velocity, grid, "u9", 0.8, 1.0, limiter="on")
 elapsed = time.time() - start
 
 j = int(round(0.75 * n - 0.5))  # the row through the cylinder center
-row = result.field.interior[:, j]
+row = result.field[:, j]
 x = grid.cell_centers(0)
 slot = np.abs(x - 0.5) <= spec.slot_width / 2
 

@@ -9,7 +9,7 @@ from .analysis import (
 )
 from .driver import NumericsError, RunResult, integrate
 from .fct import fct_advance
-from .grid import CellField, Grid, Workspace, conserved_sum, fill_ghosts, flux_divergence
+from .grid import Grid, Workspace, conserved_sum, flux_divergence, neighbour_apply
 from .problems import (
     ErrorRecord,
     ProblemSpec,

@@ -19,7 +19,8 @@ from .analysis import (
     stability_table,
 )
 from .driver import NumericsError, integrate
-from .grid import Grid
+from .fct import LIMITER_MODES
+from .grid import Grid, check_cells
 from .problems import (
     IC_KINDS,
     convergence_study,
@@ -58,62 +59,68 @@ def read_config_file(path):
     return entries
 
 
-_RUN_KEYS = {
-    "ic": str,
-    "velocity": str,
-    "scheme": str,
-    "order": int,
-    "sigma": float,
-    "n": int,
-    "t_final": float,
-    "limiter": str,
-    "radius": float,
-    "extent": float,
-    "out": str,
-    "centerline": str,
-    "eta_stats": str,
-    "dump_every": int,
-    "dump_prefix": str,
-    "dim": int,
+# Every option of ``run`` and ``converge``: its type in a config file and
+# its default in each command (None: unset).
+_OPTIONS = {
+    "ic": (str, "square", "cosine8"),
+    "velocity": (str, "constant", "constant"),
+    "scheme": (str, "u9", "u5"),
+    "order": (int, None, None),
+    "sigma": (float, 0.8, 0.8),
+    "n": (int, 128, None),
+    "n_list": (str, None, "32,64,128,256"),
+    "t_final": (float, 1.0, 1.0),
+    "limiter": (str, "on", "on"),
+    "radius": (float, None, None),
+    "extent": (float, 1.0, None),
+    "out": (str, None, None),
+    "centerline": (str, None, None),
+    "eta_stats": (str, None, None),
+    "dump_every": (int, 0, None),
+    "dump_prefix": (str, None, None),
+    "dim": (int, None, None),
 }
+_COMMANDS = ("run", "converge")
 
 
-def _apply_config(args, keys):
-    """Fill argparse values from the config file where flags were absent."""
-    if not getattr(args, "config", None):
-        return
-    entries = read_config_file(args.config)
-    for key, raw in entries.items():
-        if key not in keys:
-            raise ConfigError(f"unknown config key: {key}")
+def _configure(args, command):
+    """Config file, then defaults, then the checks both commands share.
+
+    Flags take precedence over the config file.  Sets ``args.n_list`` to
+    the grid sizes to run: ``[n]`` for ``run``.
+    """
+    if getattr(args, "config", None):
+        for key, raw in read_config_file(args.config).items():
+            if key not in _OPTIONS:
+                raise ConfigError(f"unknown config key: {key}")
+            if getattr(args, key, None) is None:
+                try:
+                    setattr(args, key, _OPTIONS[key][0](raw))
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
+    column = 1 + _COMMANDS.index(command)
+    for key, spec in _OPTIONS.items():
         if getattr(args, key, None) is None:
-            try:
-                setattr(args, key, keys[key](raw))
-            except ValueError as exc:
-                raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-
-
-def _validate_run(args):
-    defaults = {
-        "ic": "square", "velocity": "constant", "scheme": "u9",
-        "sigma": 0.8, "n": 128, "t_final": 1.0, "limiter": "on",
-        "extent": 1.0, "dim": None, "dump_every": 0,
-    }
-    for key, val in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
+            setattr(args, key, spec[column])
     if args.ic not in IC_KINDS:
         raise ConfigError(f"unknown ic {args.ic!r}; expected one of {', '.join(IC_KINDS)}")
     if args.velocity not in ("constant", "rotation"):
         raise ConfigError(f"unknown velocity {args.velocity!r}")
     if args.scheme not in SCHEME_NAMES:
         raise ConfigError(f"unknown scheme {args.scheme!r}")
-    if args.limiter not in ("on", "off", "off-low"):
+    if args.limiter not in LIMITER_MODES:
         raise ConfigError(f"unknown limiter mode {args.limiter!r}")
     if args.sigma <= 0:
         raise ConfigError("sigma must be positive")
-    if args.n < 16:
-        raise ConfigError(f"n must be at least 16, got {args.n}")
+    if command == "run":
+        args.n_list = [args.n]
+    else:
+        try:
+            args.n_list = [int(tok) for tok in str(args.n_list).split(",") if tok.strip()]
+        except ValueError:
+            raise ConfigError(f"bad n-list: {args.n_list!r}") from None
+    for n in args.n_list:
+        check_cells(n)
     if args.dim is None:
         args.dim = 2 if (args.velocity == "rotation" or args.ic == "slotted") else 1
     if args.dim not in (1, 2):
@@ -127,19 +134,15 @@ def _write_solution_csv(path, grid, q, metadata):
         if grid.dim == 1:
             fh.write("i,x,q\n")
             x = grid.cell_centers(0)
-            vals = q.interior
             for i in range(grid.n):
-                fh.write(f"{i},{_fmt(x[i])},{_fmt(vals[i])}\n")
+                fh.write(f"{i},{_fmt(x[i])},{_fmt(q[i])}\n")
         else:
             fh.write("i,j,x,y,q\n")
             x = grid.cell_centers(0)
             y = grid.cell_centers(1)
-            vals = q.interior
             for i in range(grid.n):
                 for j in range(grid.n):
-                    fh.write(
-                        f"{i},{j},{_fmt(x[i])},{_fmt(y[j])},{_fmt(vals[i, j])}\n"
-                    )
+                    fh.write(f"{i},{j},{_fmt(x[i])},{_fmt(y[j])},{_fmt(q[i, j])}\n")
 
 
 def _write_centerline_csv(path, grid, q):
@@ -147,14 +150,13 @@ def _write_centerline_csv(path, grid, q):
     with open(path, "w") as fh:
         fh.write("i,x,q\n")
         x = grid.cell_centers(0)
-        vals = q.interior if grid.dim == 1 else q.interior[:, grid.n // 2]
+        vals = q if grid.dim == 1 else q[:, grid.n // 2]
         for i in range(grid.n):
             fh.write(f"{i},{_fmt(x[i])},{_fmt(vals[i])}\n")
 
 
 def cmd_run(args):
-    _apply_config(args, _RUN_KEYS)
-    _validate_run(args)
+    _configure(args, "run")
     grid = Grid(args.dim, args.n, lo=0.0, hi=args.extent)
     velocity = make_velocity(args.velocity, grid)
     scheme = scheme_coefficients(args.scheme)
@@ -212,23 +214,9 @@ def cmd_run(args):
 
 
 def cmd_converge(args):
-    _apply_config(args, dict(_RUN_KEYS, n_list=str))
-    for key, val in (
-        ("ic", "cosine8"), ("velocity", "constant"), ("scheme", "u5"),
-        ("sigma", 0.8), ("t_final", 1.0), ("limiter", "on"), ("n_list", "32,64,128,256"),
-    ):
-        if getattr(args, key, None) is None:
-            setattr(args, key, val)
-    if args.sigma <= 0:
-        raise ConfigError("sigma must be positive")
-    if args.dim is None:
-        args.dim = 2 if args.velocity == "rotation" else 1
-    try:
-        n_list = [int(tok) for tok in str(args.n_list).split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"bad n-list: {args.n_list!r}") from None
+    _configure(args, "converge")
     records = convergence_study(
-        args.ic, args.velocity, args.scheme, args.sigma, n_list,
+        args.ic, args.velocity, args.scheme, args.sigma, args.n_list,
         limiter=args.limiter, dim=args.dim, t_final=args.t_final,
         radius=args.radius, order=args.order,
     )
@@ -287,7 +275,7 @@ def build_parser():
     run.add_argument("--n", type=int)
     run.add_argument("--dim", type=int, choices=(1, 2))
     run.add_argument("--t-final", dest="t_final", type=float)
-    run.add_argument("--limiter", choices=("on", "off", "off-low"))
+    run.add_argument("--limiter", choices=LIMITER_MODES)
     run.add_argument("--radius", type=float, help="feature radius override")
     run.add_argument("--extent", type=float, help="domain edge length")
     run.add_argument("--out", help="solution CSV path")
@@ -308,7 +296,7 @@ def build_parser():
     conv.add_argument("--n-list", dest="n_list")
     conv.add_argument("--dim", type=int, choices=(1, 2))
     conv.add_argument("--t-final", dest="t_final", type=float)
-    conv.add_argument("--limiter", choices=("on", "off", "off-low"))
+    conv.add_argument("--limiter", choices=LIMITER_MODES)
     conv.add_argument("--radius", type=float)
     conv.add_argument("--out")
     conv.set_defaults(func=cmd_converge)

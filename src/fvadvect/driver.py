@@ -35,11 +35,11 @@ class RunResult:
 
     @property
     def solution_min(self):
-        return float(np.min(self.field.interior))
+        return float(np.min(self.field))
 
     @property
     def solution_max(self):
-        return float(np.max(self.field.interior))
+        return float(np.max(self.field))
 
 
 def integrate(
@@ -79,19 +79,17 @@ def integrate(
         raise ValueError("sigma must be positive")
     if t_final < 0.0:
         raise ValueError("t_final must be non-negative")
-    non_finite = np.argwhere(~np.isfinite(q0.interior))
+    non_finite = np.argwhere(~np.isfinite(q0))
     if non_finite.size:
         cell = tuple(int(i) for i in non_finite[0])
-        raise ValueError(
-            f"initial condition is not finite at cell {cell}: {q0.interior[cell]}"
-        )
+        raise ValueError(f"initial condition is not finite at cell {cell}: {q0[cell]}")
 
     flow = face_flow(face_average_velocity(velocity, grid), grid, order)
     u_cell = cell_average_velocity(velocity, grid)
     speed = max_speed(velocity, grid)
     dt = sigma * grid.h / speed
 
-    conserved = conserved_sum(q0)
+    conserved = conserved_sum(grid, q0)
     result = RunResult(
         field=q0.copy(), steps=0, dt=dt, conserved_initial=conserved, conserved_final=conserved
     )
@@ -110,7 +108,7 @@ def integrate(
             q, flow, u_cell, step_dt, step_sigma, scheme,
             limiter=limiter, preconstraint=preconstraint, force_eta=force_eta, ws=ws,
         )
-        if not np.all(np.isfinite(q.interior, out=ws.active[0])):
+        if not np.all(np.isfinite(q, out=ws.active[0])):
             raise NumericsError(step)
         if collect_eta_stats and etas is not None:
             flat = np.concatenate([e.ravel() for e in etas])
@@ -122,5 +120,5 @@ def integrate(
             on_step(step, t, q)
     result.field = q
     result.steps = n_steps
-    result.conserved_final = conserved_sum(q)
+    result.conserved_final = conserved_sum(grid, q)
     return result

@@ -9,9 +9,9 @@ coefficients; and the final conservative correction.
 The limiter phases take plain periodic arrays and the spacing ``h``, so
 they can run on a window of the grid (``limiter_window``).  Alignment
 reminders (see grid.py): a neighbour at offset m along axis d is read as
-the view ``at(m)`` of a ``periodic_pad``, or as shift m of
-``neighbour_apply``.  Face index k along axis d lies between cells k-1
-and k, so at the face i+1/2 (k = i+1), for quantities stored per cell,
+shift m of ``neighbour_apply``.  Face index k along axis d lies between
+cells k-1 and k, so at the face i+1/2 (k = i+1), for quantities stored
+per cell,
 
     cell i   -> offset -1       (the face's left cell)
     cell i+1 -> offset 0        (the face's right cell)
@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .grid import Padded, Workspace, fill_ghosts, flux_divergence, neighbour_apply, periodic_pad
+from .grid import Workspace, flux_divergence, neighbour_apply
 from .highorder import rk4_high_order_step
 from .loworder import ctu_fluxes, low_order_update
 
@@ -49,19 +49,17 @@ ANTIDIFFUSION_TOL = 1e-14
 # i+3, and bounds and flags at i, which read 2 cells away (the radius-2
 # boxes, the +-2 total-variation window, the minmod of d2, the 3^dim
 # Laplacian box).  So eta reads at most 4 cells away along and across its
-# axis; 6 is the width the ghost frame budgets.
+# axis; the halo keeps 2 cells to spare.
 LIMITER_REACH = 6
 
 
 def second_differences(q):
     """Per-axis centered second differences of a periodic array."""
+    twice = np.multiply(2.0, q)
     out = []
     for d in range(q.ndim):
-        c = periodic_pad(q, 1, d)
-        d2 = np.multiply(2.0, c.at(0))
-        np.subtract(c.at(1), d2, out=d2)
-        d2 += c.at(-1)
-        out.append(d2)
+        d2 = neighbour_apply(np.subtract, q, 1, twice, 0, d, np.empty(q.shape))
+        out.append(neighbour_apply(np.add, d2, 0, q, -1, d, np.empty(q.shape)))
     return tuple(out)
 
 
@@ -177,25 +175,23 @@ def _directional_extremum_tests(q_td):
     constant: the 3-point line along the dimension is flat to roundoff.
     """
     smooth, constant = [], []
-    for d in range(q_td.ndim):
-        td = periodic_pad(q_td, 2, d)
-        c = td.at(0)
-        dq = periodic_pad(c - td.at(-1), 2, d)  # q(i) - q(i-1), cell aligned
-        prod = np.multiply(dq.at(0), dq.at(1))
-        buf = np.multiply(dq.at(-1), dq.at(2))
+    c, shape = q_td, q_td.shape
+    for d in range(c.ndim):
+        dq = neighbour_apply(np.subtract, c, 0, c, -1, d, np.empty(shape))  # q(i) - q(i-1)
+        prod = neighbour_apply(np.multiply, dq, 0, dq, 1, d, np.empty(shape))
+        buf = neighbour_apply(np.multiply, dq, -1, dq, 2, d, np.empty(shape))
         flips = np.minimum(prod, buf, out=prod) <= 0.0
-        dqtot = np.abs(np.subtract(td.at(2), td.at(-2), out=buf), out=buf)
+        dqtot = np.abs(neighbour_apply(np.subtract, c, 2, c, -2, d, buf), out=buf)
         dqtot *= TV_SAFETY_FACTOR
-        abs_dq = Padded(np.abs(dq.data), 2, d)
-        tv = np.add(abs_dq.at(2), abs_dq.at(1), out=prod)
-        tv += abs_dq.at(0)
-        tv += abs_dq.at(-1)
+        abs_dq = np.abs(dq, out=dq)
+        tv = neighbour_apply(np.add, abs_dq, 2, abs_dq, 1, d, prod)
+        tv += abs_dq
+        tv = neighbour_apply(np.add, tv, 0, abs_dq, -1, d, np.empty(shape))
         smooth.append(flips & (dqtot < tv))
-        del dq, abs_dq
-        line_max = np.maximum(td.at(-1), c, out=buf)
-        np.maximum(line_max, td.at(1), out=line_max)
-        line_min = np.minimum(td.at(-1), c, out=prod)
-        np.minimum(line_min, td.at(1), out=line_min)
+        line_max = neighbour_apply(np.maximum, c, -1, c, 0, d, buf)
+        line_max = neighbour_apply(np.maximum, line_max, 0, c, 1, d, tv)
+        line_min = neighbour_apply(np.minimum, c, -1, c, 0, d, prod)
+        line_min = neighbour_apply(np.minimum, line_min, 0, c, 1, d, dq)
         line_max -= c
         line_min -= c
         flat = np.maximum(np.abs(line_max, out=line_max), np.abs(line_min, out=line_min),
@@ -233,14 +229,14 @@ def _limited_curvature(d2, axis):
     contributes no relaxation at all, and a consistent one contributes at
     most its mildest curvature.
     """
-    p = periodic_pad(d2, 1, axis)
-    above = Padded(p.data > 0, 1, axis)
-    below = Padded(p.data < 0, 1, axis)
-    pos = above.at(-1) & above.at(0) & above.at(1)
-    neg = below.at(-1) & below.at(0) & below.at(1)
-    mag = Padded(np.abs(p.data, out=p.data), 1, axis)
-    out = np.minimum(mag.at(0), mag.at(1))
-    np.minimum(mag.at(-1), out, out=out)
+    above, below = d2 > 0, d2 < 0
+    pos = neighbour_apply(np.logical_and, above, -1, above, 1, axis, np.empty(d2.shape, bool))
+    pos &= above
+    neg = neighbour_apply(np.logical_and, below, -1, below, 1, axis, np.empty(d2.shape, bool))
+    neg &= below
+    mag = np.abs(d2)
+    inner = neighbour_apply(np.minimum, mag, 0, mag, 1, axis, np.empty(d2.shape))
+    out = neighbour_apply(np.minimum, mag, -1, inner, 0, axis, np.empty(d2.shape))
     np.negative(out, out=out, where=neg)
     np.copyto(out, 0.0, where=~(pos | neg))
     return out
@@ -404,14 +400,16 @@ class Window:
 
     ``spans`` holds per axis the ``(grid slice, window slice)`` pairs that
     make up the window along it: one for an axis taken whole or cut
-    without wrapping round, two for a cut that wraps.  Every block is read
-    and written through basic slices.
+    without wrapping round, two for a cut that wraps.  ``core_spans``
+    holds the same for the core faces, the run of faces the limiter
+    decides.  Every block is read and written through basic slices.
     """
 
-    def __init__(self, spans, grid_shape):
+    def __init__(self, spans, core_spans, grid_shape):
         self.shape = tuple(pairs[-1][1].stop for pairs in spans)
         self.whole = self.shape == grid_shape
         self.blocks = [tuple(zip(*block)) for block in itertools.product(*spans)]
+        self.core = [tuple(zip(*block)) for block in itertools.product(*core_spans)]
 
     def __call__(self, a):
         """The window of grid array ``a``: ``a`` itself for the whole grid, else a copy."""
@@ -429,23 +427,21 @@ class Window:
 
 
 def limiter_window(A, dt, h, scale, scratch, active):
-    """``(cut, core, inner)`` for the faces the limiter must see, or None.
+    """The ``Window`` of the faces the limiter must see, or None.
 
     A face is active where |A| dt/h > ANTIDIFFUSION_TOL * scale.  Per axis
     the core is the shortest circular run of faces holding every active
     one (the complement of the largest inactive gap); the window pads it
     by LIMITER_REACH cells per side, or is the whole axis once that
-    reaches n, where the periodic wrap is exact.  ``cut`` is the
-    ``Window``: ``cut(a)`` is the window of a grid array; ``core`` and
-    ``inner`` index the core faces in the grid and in the window.
-    ``scratch`` is a grid array to work in and ``active`` one boolean grid
-    array per axis, which receive the active faces.
+    reaches n, where the periodic wrap is exact.  ``scratch`` is a grid
+    array to work in and ``active`` one boolean grid array per axis,
+    which receive the active faces.
     """
     for a, mask in zip(A, active):
         np.abs(a, out=scratch)
         scratch *= dt / h
         np.greater(scratch, ANTIDIFFUSION_TOL * scale, out=mask)
-    shape, spans, core, inner = A[0].shape, [], [], []
+    shape, spans, core = A[0].shape, [], []
     for ax, n in enumerate(shape):
         others = tuple(x for x in range(len(shape)) if x != ax)
         hits = np.flatnonzero(np.any([m.any(axis=others) for m in active], axis=0))
@@ -454,21 +450,20 @@ def limiter_window(A, dt, h, scale, scratch, active):
         gaps = np.diff(hits, append=hits[0] + n)
         j = int(np.argmax(gaps))
         start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
-        run = np.arange(start, start + length)
-        core.append(run % n)
         size = length + 2 * LIMITER_REACH
-        if size < n:
-            lo = (start - LIMITER_REACH) % n
-            first = min(size, n - lo)
-            pairs = [(slice(lo, lo + first), slice(0, first))]
-            if first < size:  # the window wraps round the periodic boundary
-                pairs.append((slice(0, size - first), slice(first, size)))
-            spans.append(pairs)
-            run += LIMITER_REACH - start
-        else:
-            spans.append(((slice(0, n), slice(0, n)),))
-        inner.append(run % n)
-    return Window(spans, shape), np.ix_(*core), np.ix_(*inner)
+        lo = (start - LIMITER_REACH) % n if size < n else 0
+        spans.append(_circular_run(lo, min(size, n), n, lo))
+        core.append(_circular_run(start, length, n, lo))
+    return Window(spans, core, shape)
+
+
+def _circular_run(start, length, n, lo):
+    """``(grid slice, window slice)`` pairs of the circular run of ``length``
+    grid indices from ``start``: one, or two where the run wraps round.
+    Grid index g sits at window index (g - lo) % n."""
+    first = min(length, n - start)
+    runs = [(start, first)] + ([(0, length - first)] if first < length else [])
+    return [(slice(a, a + m), slice((a - lo) % n, (a - lo) % n + m)) for a, m in runs]
 
 
 def fct_advance(
@@ -512,42 +507,40 @@ def fct_advance(
         )
     if force_eta is not None and not 0.0 <= force_eta <= 1.0:
         raise ValueError(f"force_eta must lie in [0, 1], got {force_eta!r}")
-    grid = qn.grid
+    grid = flow.grid
     ws = Workspace(grid) if ws is None else ws
-    u_faces = flow.u_faces
+    u_faces, h = flow.u_faces, grid.h
     if limiter == "off-low":
         F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
-        return low_order_update(qn, F_low, dt, ws), None
+        return low_order_update(qn, F_low, dt, grid, ws), None
     F_high = rk4_high_order_step(qn, flow, dt, scheme, ws)
     if limiter == "off":
-        return low_order_update(qn, F_high, dt, ws), None
+        return low_order_update(qn, F_high, dt, grid, ws), None
 
     F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
-    q_td = low_order_update(qn, F_low, dt, ws)
+    q_td = low_order_update(qn, F_low, dt, grid, ws)
     A = antidiffusive(F_high, F_low, F_high)
-    qn_in, td_in, h = qn.interior, q_td.interior, grid.h
     # F_low's storage is free once A is formed
     etas = ws.flux
     for eta in etas:
         eta.fill(0.0 if force_eta is None else float(force_eta))
     if force_eta is not None:
         if preconstraint:
-            A = preconstrain(A, td_in, second_differences(qn_in), u_faces, dt, h)
+            A = preconstrain(A, q_td, second_differences(qn), u_faces, dt, h)
         for a, eta in zip(A, etas):
             a *= eta
-        td_in -= flux_divergence(grid, A, dt, *ws.scratch)
-        return fill_ghosts(q_td), etas
+        q_td -= flux_divergence(grid, A, dt, *ws.scratch)
+        return q_td, etas
 
-    scale = float(np.max(np.abs(qn_in, out=ws.face)))
+    scale = float(np.max(np.abs(qn, out=ws.face)))
     window = limiter_window(A, dt, h, scale, ws.face, ws.active)
     if window is None:
         return q_td, etas
-    cut, core, inner = window
-    qn_w, td_w, A_w = cut(qn_in), cut(td_in), tuple(map(cut, A))
+    qn_w, td_w, A_w = window(qn), window(q_td), tuple(map(window, A))
     d2q = second_differences(qn_w)
     if preconstraint:
-        A_w = preconstrain(A_w, td_w, d2q, tuple(map(cut, u_faces)), dt, h)
-    q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(cut, u_cell)), sigma)
+        A_w = preconstrain(A_w, td_w, d2q, tuple(map(window, u_faces)), dt, h)
+    q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(window, u_cell)), sigma)
     flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
     q_max, q_min = extremum_bound_correction(flags, qn_w, d2q, q_max, q_min, scale)
     oscillating = flags & laplacian_flags(qn_w, d2q, h, q_td=td_w)
@@ -556,15 +549,16 @@ def fct_advance(
     # zero elsewhere, as it is on the rest of the grid
     limited = []
     for a_w, eta, eta_w in zip(A_w, etas, hybridize(A_w, R_in, R_out)):
-        eta_w = eta_w[inner]
-        if not np.all((eta_w >= 0.0) & (eta_w <= 1.0)):
-            raise AssertionError("hybridization coefficient left [0, 1]")
-        eta[core] = eta_w
         corrected = np.zeros(a_w.shape)
-        corrected[inner] = a_w[inner] * eta_w
+        for in_grid, in_window in window.core:
+            core_eta = eta_w[in_window]
+            if not np.all((core_eta >= 0.0) & (core_eta <= 1.0)):
+                raise AssertionError("hybridization coefficient left [0, 1]")
+            eta[in_grid] = core_eta
+            np.multiply(a_w[in_window], core_eta, out=corrected[in_window])
         limited.append(corrected)
     # q_td's storage is free once the bounds are built; cells outside the
     # window keep q_td, and inside it each cell sees the same sum as on
     # the whole grid
-    cut.subtract(td_in, flux_divergence(grid, limited, dt))
-    return fill_ghosts(q_td), etas
+    window.subtract(q_td, flux_divergence(grid, limited, dt))
+    return q_td, etas

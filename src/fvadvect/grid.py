@@ -2,51 +2,54 @@
 
 Index conventions used throughout the package:
 
-  - Cell fields carry a ghost frame of width ``grid.ghost`` on every side.
-    Interior cell ``i`` (0 <= i < n) lives at flat index ``ghost + i``.
-  - Face arrays are plain ndarrays of shape ``(n,)*dim``.  Along the normal
-    axis ``d``, index ``k`` is the face at coordinate ``lo + k*h``, i.e. the
-    LEFT face of cell ``k`` (between cells ``k-1`` and ``k``).  There are
-    exactly ``n`` distinct faces per transverse row under periodicity, so a
-    face value is stored once and shared by both adjacent cells.
+  - A cell field is a plain C-contiguous array of shape ``grid.shape``,
+    ``(n,)*dim``: cell ``i`` is entry ``i``.  There is no ghost frame;
+    periodicity lives in the reads.
+  - Face arrays have the same shape.  Along the normal axis ``d``, index
+    ``k`` is the face at coordinate ``lo + k*h``, i.e. the LEFT face of
+    cell ``k`` (between cells ``k-1`` and ``k``).  There are exactly ``n``
+    distinct faces per transverse row under periodicity, so a face value
+    is stored once and shared by both adjacent cells.
   - Cell ``i``'s right face along ``d`` is therefore face index ``(i+1) % n``.
 
-Neighbour reads are views, never shifted copies.  A cell field reads its
-neighbours through its ghost frame (``CellField.shifted`` and
-``CellField.along``); any other array gets one periodic pad along the axis
-it is read along (``periodic_pad``), and ``Padded.at(m)`` is then the
-interior-shaped view whose entry ``i`` is the array's entry ``(i+m) % n``.
-A neighbour read that feeds a single operation goes through
-``neighbour_apply`` instead, which needs no copy.
+Every neighbour read goes through ``neighbour_apply``:
+``out[k] = ufunc(x[(k+mx) % n], y[(k+my) % n])`` along one axis.  It runs
+the ufunc once on contiguous slices of the flattened arrays, where a step
+along the axis is a fixed stride, and then rewrites the entries whose
+reads wrap round the periodic boundary (``fill_ghosts``): whole rows along
+axis 0, a block of columns along the last axis.
 """
 
+import functools
 import math
 
 import numpy as np
+
+# A cell's update reads the face values on both of its sides, and the
+# widest stencil (u9, either orientation) reaches from them 5 cells past
+# the cell in each direction.
+WIDEST_READ = 5
 
 
 class Grid:
     """Uniform periodic grid on ``[lo, hi]^dim`` with ``n`` cells per axis.
 
-    ghost must be at least 6: the widest face stencil reaches 5 cells past
-    the outermost interior face and the limiter bound windows add 2 more
-    inside that budget.
+    ``MIN_CELLS`` holds a cell's widest read, ``WIDEST_READ`` cells to each
+    side, without reading any cell twice.
     """
 
-    def __init__(self, dim, n, lo=0.0, hi=1.0, ghost=6):
+    MIN_CELLS = 2 * WIDEST_READ + 1
+
+    def __init__(self, dim, n, lo=0.0, hi=1.0):
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
-        if ghost < 6:
-            raise ValueError(f"ghost width must be >= 6, got {ghost}")
-        if n < 2 * ghost:
-            raise ValueError(f"need n >= {2 * ghost} cells, got {n}")
+        check_cells(n)
         if not hi > lo:
             raise ValueError("domain must have hi > lo")
         self.dim = dim
         self.n = int(n)
         self.lo = float(lo)
         self.hi = float(hi)
-        self.ghost = int(ghost)
         self.h = (self.hi - self.lo) / self.n
 
     @property
@@ -55,15 +58,11 @@ class Grid:
 
     @property
     def shape(self):
-        """Interior shape, one entry per dimension."""
+        """Field shape, one entry per dimension."""
         return (self.n,) * self.dim
 
-    @property
-    def padded_shape(self):
-        return (self.n + 2 * self.ghost,) * self.dim
-
     def cell_centers(self, axis=0):
-        """1D array of interior cell-center coordinates along ``axis``."""
+        """1D array of cell-center coordinates along ``axis``."""
         return self.lo + (np.arange(self.n) + 0.5) * self.h
 
     def face_coords(self, axis=0):
@@ -87,77 +86,21 @@ class Grid:
         ]
         return tuple(np.meshgrid(*axes, indexing="ij")) if self.dim > 1 else (axes[0],)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and (self.dim, self.n, self.lo, self.hi, self.ghost)
-            == (other.dim, other.n, other.lo, other.hi, other.ghost)
-        )
-
     def __repr__(self):
-        return (
-            f"Grid(dim={self.dim}, n={self.n}, lo={self.lo}, hi={self.hi}, "
-            f"ghost={self.ghost})"
-        )
+        return f"Grid(dim={self.dim}, n={self.n}, lo={self.lo}, hi={self.hi})"
 
 
-class CellField:
-    """Cell-averaged scalar on a grid, stored with its ghost frame."""
-
-    def __init__(self, grid, data=None):
-        self.grid = grid
-        if data is None:
-            data = np.zeros(grid.padded_shape)
-        if data.shape != grid.padded_shape:
-            raise ValueError(f"expected padded shape {grid.padded_shape}, got {data.shape}")
-        self.data = data
-
-    @classmethod
-    def from_interior(cls, grid, values, ghosts=True):
-        """Wrap interior values in a fresh ghosted field.
-
-        With ``ghosts=True`` the ghost frame is filled immediately.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape != grid.shape:
-            raise ValueError(f"expected interior shape {grid.shape}, got {values.shape}")
-        f = cls(grid)
-        f.interior[...] = values
-        if ghosts:
-            fill_ghosts(f)
-        return f
-
-    @property
-    def interior(self):
-        g = self.grid.ghost
-        sl = (slice(g, g + self.grid.n),) * self.grid.dim
-        return self.data[sl]
-
-    def shifted(self, offsets):
-        """Interior-shaped view displaced by integer ``offsets`` per axis.
-
-        ``shifted((m,))[i] == data value at cell i+m`` (reads ghosts, so the
-        result equals the periodic image once ghosts are filled).
-        """
-        g, n = self.grid.ghost, self.grid.n
-        sl = tuple(slice(g + m, g + m + n) for m in offsets)
-        return self.data[sl]
-
-    def along(self, axis):
-        """The interior as a ``Padded`` along ``axis``, read through the ghosts."""
-        g, n = self.grid.ghost, self.grid.n
-        sl = axis_index(axis, slice(None), self.grid.dim, slice(g, g + n))
-        return Padded(self.data[sl], g, axis)
-
-    def copy(self):
-        return CellField(self.grid, self.data.copy())
+def check_cells(n):
+    """Raise ``ValueError`` unless ``n`` is at least ``Grid.MIN_CELLS``."""
+    if n < Grid.MIN_CELLS:
+        raise ValueError(f"n must be at least {Grid.MIN_CELLS} cells, got {n}")
 
 
 class Workspace:
     """Every whole-grid buffer of one step, allocated once and reused.
 
     ``integrate`` builds one per run; a kernel called without one builds
-    its own.  ``frames`` are two ghosted fields used in turn: a step reads
+    its own.  ``frames`` are two cell fields used in turn: a step reads
     its state from one and leaves every state it forms (RK4 stages, then
     the new state) in the other, ``next_frame(qn)``.  ``flux_high`` and
     ``flux`` hold one face array per axis: the combined high-order flux
@@ -168,7 +111,7 @@ class Workspace:
     """
 
     def __init__(self, grid):
-        self.frames = (CellField(grid), CellField(grid))
+        self.frames = (np.empty(grid.shape), np.empty(grid.shape))
         self.flux_high = tuple(np.empty(grid.shape) for _ in range(grid.dim))
         self.flux = tuple(np.empty(grid.shape) for _ in range(grid.dim))
         self.face = np.empty(grid.shape)
@@ -185,105 +128,79 @@ def axis_index(axis, sl, ndim, rest=slice(None)):
     return tuple(sl if ax == axis else rest for ax in range(ndim))
 
 
-class Padded:
-    """An array carrying ``width`` periodic images on both sides of ``axis``.
+@functools.lru_cache(maxsize=64)
+def _plan(shape, d, mx, my):
+    """The slices of one ``neighbour_apply``: ``(main, wraps)``.
 
-    ``at(m)`` is the interior-shaped view whose entry ``i`` along ``axis``
-    is the unpadded array's entry ``(i + m) % n``, for ``|m| <= width``.
-    An elementwise function of ``data`` keeps the layout, so wrapping its
-    result in a ``Padded`` of the same width and axis reads it the same way.
+    ``main`` holds the flat slices of ``out``, ``x`` and ``y`` for every
+    index ``lo <= k < hi`` along ``d`` whose reads do not wrap; ``wraps``
+    the ``(out, x, y)`` index tuples of the runs of the other indices.
+    Each side is one run, cut once more where a second shift of the same
+    sign wraps inside it, so that every read in a run is one basic slice.
     """
-
-    __slots__ = ("data", "width", "axis")
-
-    def __init__(self, data, width, axis):
-        self.data, self.width, self.axis = data, width, axis
-
-    def at(self, m):
-        w = self.width
-        n = self.data.shape[self.axis] - 2 * w
-        return self.data[axis_index(self.axis, slice(w + m, w + m + n), self.data.ndim)]
-
-
-def periodic_pad(a, width, axis):
-    """``a`` copied once with ``width`` periodic images on both sides of ``axis``."""
-    n, ndim = a.shape[axis], a.ndim
-    return Padded(
-        np.concatenate(
-            (a[axis_index(axis, slice(n - width, n), ndim)], a,
-             a[axis_index(axis, slice(0, width), ndim)]),
-            axis=axis,
-        ),
-        width,
-        axis,
+    n, ndim = shape[d], len(shape)
+    stride = math.prod(shape[d + 1:])
+    lo, hi = max(0, -mx, -my), min(n, n - mx, n - my)
+    start, stop = lo * stride, math.prod(shape) - (n - hi) * stride
+    main = tuple(slice(start + m * stride, stop + m * stride) for m in (0, mx, my))
+    cuts = sorted({0, lo, hi, n, -mx % n, -my % n})
+    wraps = tuple(
+        tuple(axis_index(d, slice((a + m) % n, (a + m) % n + b - a), ndim) for m in (0, mx, my))
+        for a, b in zip(cuts, cuts[1:]) if a < lo or b > hi
     )
+    return main, wraps
 
 
-def neighbour_apply(ufunc, x, mx, y, my, d, out):
+def neighbour_apply(ufunc, x, mx, y, my, d, out, where=True):
     """``out[k] = ufunc(x[(k+mx) % n], y[(k+my) % n])`` along axis ``d``.
 
-    For shifts ``|mx|, |my| < n`` and a C-contiguous ``out`` that shares no
-    memory with ``x`` or ``y``.  One call on
-    the flattened arrays, where a step along ``d`` is ``stride`` entries,
-    covers every ``k`` whose reads need no wrap (along the last axis it
-    also writes, wrongly, the edge entries of each row); the entries next
-    to the wrap are then written over one slice at a time.  Unlike views of
-    a pad, every operand of the main call is contiguous.
+    ``x`` and ``y`` are C-contiguous arrays of ``out``'s shape or scalars
+    (read as they are, with shift 0); ``where`` is True or a mask of
+    ``out``'s shape, and ``out`` keeps its entries where the mask is
+    False.  For shifts ``|mx|, |my| < n`` and a C-contiguous ``out`` that
+    shares no memory with ``x`` or ``y`` (``x`` or ``y`` itself as ``out``
+    is rejected).  The slices depend only on the shape, the axis and the
+    shifts, and are cached per call signature.  One call on the flattened
+    arrays, where a step along ``d`` is ``stride`` entries, covers every
+    ``k`` whose reads need no wrap; along the last axis it also writes,
+    wrongly, the edge entries of each row.  ``fill_ghosts`` then writes
+    every entry whose read wraps.  Every operand of the main call is
+    contiguous.
     """
     if not out.flags.c_contiguous:
         raise ValueError("neighbour_apply needs a C-contiguous output array")
-    if np.may_share_memory(out, x) or np.may_share_memory(out, y):
+    if out is x or out is y:
         raise ValueError("neighbour_apply cannot write over its operands")
-    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    n, ndim = out.shape[d], out.ndim
-    stride = math.prod(out.shape[d + 1:])
-    lo, hi = max(0, -mx, -my), min(n, n - mx, n - my)
-    start, stop = lo * stride, out.size - (n - hi) * stride
-    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
-    ufunc(flat_x[start + mx * stride:stop + mx * stride],
-          flat_y[start + my * stride:stop + my * stride],
-          out=out.reshape(-1)[start:stop])
-    for k in (*range(lo), *range(hi, n)):
-        ufunc(x[axis_index(d, slice((k + mx) % n, (k + mx) % n + 1), ndim)],
-              y[axis_index(d, slice((k + my) % n, (k + my) % n + 1), ndim)],
-              out=out[axis_index(d, slice(k, k + 1), ndim)])
+    (so, sx, sy), wraps = _plan(out.shape, d, mx, my)
+    ufunc(x.reshape(-1)[sx] if isinstance(x, np.ndarray) else x,
+          y.reshape(-1)[sy] if isinstance(y, np.ndarray) else y,
+          out=out.reshape(-1)[so],
+          where=where.reshape(-1)[so] if isinstance(where, np.ndarray) else where)
+    return fill_ghosts(ufunc, x, y, out, wraps, where)
+
+
+def fill_ghosts(ufunc, x, y, out, wraps, where=True):
+    """Write the entries of ``neighbour_apply``'s ``out`` whose reads wrap.
+
+    ``wraps`` holds the ``(out, x, y)`` index tuples of each run of them:
+    the indices below and above the unwrapped run along the read axis,
+    the periodic images of the other edge.  A run is whole rows along
+    axis 0 and an ``(n, width)`` block of columns along the last axis.
+    """
+    for so, sx, sy in wraps:
+        ufunc(x[sx] if isinstance(x, np.ndarray) else x,
+              y[sy] if isinstance(y, np.ndarray) else y,
+              out=out[so], where=where[so] if isinstance(where, np.ndarray) else where)
     return out
 
 
-def fill_ghosts(f):
-    """Fill the ghost frame with periodic images of the interior, in place.
-
-    Axis-by-axis assignment covers edges and corners; repeated application
-    is bitwise idempotent because ghosts are plain copies of interior cells.
-    """
-    g, n = f.grid.ghost, f.grid.n
-    data = f.data
-    for axis in range(f.grid.dim):
-        lo_ghost = tuple(
-            slice(0, g) if ax == axis else slice(None) for ax in range(f.grid.dim)
-        )
-        lo_src = tuple(
-            slice(n, n + g) if ax == axis else slice(None) for ax in range(f.grid.dim)
-        )
-        hi_ghost = tuple(
-            slice(g + n, 2 * g + n) if ax == axis else slice(None)
-            for ax in range(f.grid.dim)
-        )
-        hi_src = tuple(
-            slice(g, 2 * g) if ax == axis else slice(None) for ax in range(f.grid.dim)
-        )
-        data[lo_ghost] = data[lo_src]
-        data[hi_ghost] = data[hi_src]
-    return f
-
-
-def conserved_sum(f):
-    """Total conserved content: sum of interior cell averages times h^dim.
+def conserved_sum(grid, q):
+    """Total conserved content: sum of the cell averages times h^dim.
 
     Uses compensated summation so the diagnostic itself contributes no
     meaningful roundoff.
     """
-    return math.fsum(f.interior.ravel().tolist()) * f.grid.h ** f.grid.dim
+    return math.fsum(q.ravel().tolist()) * grid.h ** grid.dim
 
 
 def flux_divergence(grid, fluxes, dt, out=None, diff=None):
@@ -297,8 +214,9 @@ def flux_divergence(grid, fluxes, dt, out=None, diff=None):
     """
     out = np.empty(fluxes[0].shape) if out is None else out
     diff = np.empty(out.shape) if diff is None else diff
-    out.fill(0.0)
+    # the sum starts at 0.0: the first difference plus 0.0 is that bitwise
     for d, F in enumerate(fluxes):
-        out += neighbour_apply(np.subtract, F, 1, F, 0, d, diff)
+        neighbour_apply(np.subtract, F, 1, F, 0, d, diff if d else out)
+        out += diff if d else 0.0
     out *= dt / grid.h
     return out

@@ -1,8 +1,8 @@
 """Method-of-lines high-order update: classic four-stage Runge-Kutta.
 
-Each stage evaluates unlimited spatial fluxes from its own ghost-filled
-stage state.  Everything those fluxes need from the frozen velocity (the
-upwind orientation and the product-rule weights) comes precomputed in a
+Each stage evaluates unlimited spatial fluxes from its own stage state.
+Everything those fluxes need from the frozen velocity (the upwind
+orientation and the product-rule weights) comes precomputed in a
 ``FaceFlow``, so a stage does only work that depends on q.  The stage
 fluxes are summed as they come with the familiar 1/6 (1, 2, 2, 1) weights
 into a single high-order face flux, so the update can be written in
@@ -12,7 +12,7 @@ a step writes is a buffer of the run's ``Workspace``.
 
 import numpy as np
 
-from .grid import Workspace, fill_ghosts, flux_divergence
+from .grid import Workspace, flux_divergence
 from .schemes import face_interpolate, product_rule_flux
 
 RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
@@ -23,10 +23,10 @@ def spatial_flux(q, flow, scheme, ws=None, out=None):
 
     Written into ``out`` (by default the workspace's ``flux``).
     """
-    ws = Workspace(q.grid) if ws is None else ws
+    ws = Workspace(flow.grid) if ws is None else ws
     out = ws.flux if out is None else out
     term, twice = ws.scratch
-    for d in range(q.grid.dim):
+    for d in range(q.ndim):
         face = face_interpolate(q, scheme, d, flow, ws.face, term, twice)
         product_rule_flux(face, flow, d, out[d], term, twice)
     return out
@@ -39,23 +39,24 @@ def rk4_high_order_step(qn, flow, dt, scheme, ws=None):
     forms it).  No limiting happens at any stage.  Each stage flux is
     added into one accumulator per axis, the workspace's ``flux_high``,
     in the order of ``(F0 + 2 F1 + 2 F2 + F3) / 6``, so the combined flux
-    equals that expression bitwise.  The stage states are written into
+    equals that expression bitwise (a factor of exactly 1.0 is skipped:
+    ``x * 1.0 == x``).  The stage states are written into
     ``ws.next_frame(qn)``; ``qn`` is only read.
     """
-    grid = qn.grid
+    grid = flow.grid
     ws = Workspace(grid) if ws is None else ws
-    F_high, stage_state = ws.flux_high, ws.next_frame(qn)
-    state = qn
+    F_high, state = ws.flux_high, qn
     for stage, weight in enumerate(RK4_WEIGHTS):
         F = spatial_flux(state, flow, scheme, ws, F_high if stage == 0 else ws.flux)
         if stage < 3:
             k = flux_divergence(grid, F, dt, ws.face, ws.scratch[0])
-            k *= 0.5 if stage < 2 else 1.0
-            np.subtract(qn.interior, k, out=stage_state.interior)
-            state = fill_ghosts(stage_state)
+            if stage < 2:
+                k *= 0.5
+            state = np.subtract(qn, k, out=ws.next_frame(qn))
         if stage > 0:
             for acc, f in zip(F_high, F):
-                f *= weight
+                if weight != 1.0:
+                    f *= weight
                 acc += f
     for acc in F_high:
         acc /= 6.0

@@ -16,16 +16,17 @@ CFL numbers up to one, independent of dimensionality.
 
 import numpy as np
 
-from .grid import Workspace, fill_ghosts, flux_divergence, neighbour_apply
+from .grid import Workspace, flux_divergence, neighbour_apply
 
 
-def _donor_flux(values, u_face, positive, out):
-    """``u_face`` times the upstream cell of each face, read from a ``Padded``.
+def _donor_flux(q, u_face, positive, d, out):
+    """``u_face`` times the upstream cell of each face normal to ``d``.
 
-    ``positive`` marks the faces with ``u_face >= 0``.
+    ``positive`` marks the faces with ``u_face >= 0``, whose upstream cell
+    is the left one.
     """
-    np.multiply(u_face, values.at(0), out=out)
-    return np.multiply(u_face, values.at(-1), out=out, where=positive)
+    np.multiply(u_face, q, out=out)
+    return neighbour_apply(np.multiply, u_face, 0, q, -1, d, out, where=positive)
 
 
 def ctu_fluxes(qn, u_faces, dt, grid, ws=None, positive=None):
@@ -46,22 +47,20 @@ def ctu_fluxes(qn, u_faces, dt, grid, ws=None, positive=None):
         transverse.fill(0.0)
         for dp in range(grid.dim):
             if dp != d:
-                _donor_flux(qn.along(dp), u_faces[dp], positive[dp], upwind)
+                _donor_flux(qn, u_faces[dp], positive[dp], dp, upwind)
                 transverse += neighbour_apply(np.subtract, upwind, 1, upwind, 0, dp, diff)
         transverse *= dt / (2.0 * grid.h)
-        np.subtract(qn.interior, transverse, out=q_tilde.interior)
-        _donor_flux(fill_ghosts(q_tilde).along(d), u_faces[d], positive[d], out[d])
+        np.subtract(qn, transverse, out=q_tilde)
+        _donor_flux(q_tilde, u_faces[d], positive[d], d, out[d])
     return out
 
 
-def low_order_update(qn, fluxes, dt, ws=None):
+def low_order_update(qn, fluxes, dt, grid, ws=None):
     """``qn`` less the divergence of ``fluxes``, in ``ws.next_frame(qn)``.
 
     With the CTU fluxes this is the transported-diffused solution; with
     the combined RK4 fluxes, the unlimited high-order update.
     """
-    grid = qn.grid
     ws = Workspace(grid) if ws is None else ws
-    out = ws.next_frame(qn)
-    np.subtract(qn.interior, flux_divergence(grid, fluxes, dt, *ws.scratch), out=out.interior)
-    return fill_ghosts(out)
+    return np.subtract(qn, flux_divergence(grid, fluxes, dt, *ws.scratch),
+                       out=ws.next_frame(qn))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grid import CellField, Grid
+from .grid import Grid
 from .velocity import ConstantDiagonal, make_velocity
 
 GAUSS_POINTS = 10
@@ -164,12 +164,12 @@ def _square_overlap(spec, grid, center):
 def initial_condition(spec, grid):
     """Cell-averaged initial condition."""
     if spec.kind == "square":
-        return CellField.from_interior(grid, _square_overlap(spec, grid, spec.center))
+        return _square_overlap(spec, grid, spec.center)
     if spec.kind == "cosine8":
         offs, w = _gauss_rule()
     else:
         offs, w = _midpoint_rule()
-    return CellField.from_interior(grid, _averaged(spec, grid, offs, w))
+    return _averaged(spec, grid, offs, w)
 
 
 def exact_solution(spec, velocity, t, grid):
@@ -189,7 +189,7 @@ def exact_solution(spec, velocity, t, grid):
             _wrap(c + u * t, grid)
             for c, u in zip(spec.center, velocity.components)
         )
-        return CellField.from_interior(grid, _square_overlap(spec, grid, shifted))
+        return _square_overlap(spec, grid, shifted)
 
     def map_back(pts):
         feet = velocity.trace_back(pts, t)
@@ -201,14 +201,14 @@ def exact_solution(spec, velocity, t, grid):
         offs, w = _gauss_rule()
     else:
         offs, w = _midpoint_rule()
-    return CellField.from_interior(grid, _averaged(spec, grid, offs, w, map_back))
+    return _averaged(spec, grid, offs, w, map_back)
 
 
 def max_norm_error(num, exact):
-    """Largest interior pointwise difference between two fields."""
-    if num.grid != exact.grid:
+    """Largest pointwise difference between two fields."""
+    if num.shape != exact.shape:
         raise ValueError("fields live on different grids")
-    return float(np.max(np.abs(num.interior - exact.interior)))
+    return float(np.max(np.abs(num - exact)))
 
 
 @dataclass

@@ -14,14 +14,14 @@ upwind orientation per axis and the product-rule weights) is computed once
 into a ``FaceFlow`` and reused by every stage of every step.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .grid import axis_index, neighbour_apply, periodic_pad
+from .grid import axis_index, neighbour_apply
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,9 @@ class StencilScheme:
     order: int
     is_upwind: bool
 
-    @property
+    @functools.cached_property
     def coefficients(self):
         return np.array(self.numerators, dtype=float) / self.denominator
-
-    def exact_coefficients(self):
-        return [Fraction(n, self.denominator) for n in self.numerators]
 
 
 _SCHEMES = {
@@ -74,12 +71,6 @@ def scheme_coefficients(name):
 def default_product_order(scheme):
     """Product-rule order paired with a stencil: 4 for c4/u5, 6 for the rest."""
     return 4 if scheme.order <= 5 else 6
-
-
-def _axis_offset(d, m, dim):
-    off = [0] * dim
-    off[d] = m
-    return tuple(off)
 
 
 class Orientation(NamedTuple):
@@ -140,9 +131,10 @@ class ProductWeights(NamedTuple):
 
 
 def _differences(f, t):
-    p = periodic_pad(f, 2, t)
-    up1, dn1 = p.at(1), p.at(-1)
-    return up1 - dn1, p.at(2) - p.at(-2), up1 + dn1 - 2.0 * f
+    d1, d2, lap = (neighbour_apply(ufunc, f, m, f, -m, t, np.empty(f.shape))
+                   for ufunc, m in ((np.subtract, 1), (np.subtract, 2), (np.add, 1)))
+    lap -= 2.0 * f
+    return d1, d2, lap
 
 
 def product_rule_weights(u_face, order, d, grid):
@@ -183,13 +175,14 @@ def product_rule_weights(u_face, order, d, grid):
 class FaceFlow:
     """What the face fluxes of one run need from the frozen velocity.
 
-    Per axis: the face velocities, their ``upwind_orientation`` blocks,
-    their ``product_rule_weights``, the mask ``positive`` of faces with
-    u >= 0 (upstream cell on the left) and, only where there are no
-    orientation blocks, its complement ``negative`` (None elsewhere).
-    ``face_flow`` builds it once per run.
+    The ``grid``, and per axis: the face velocities, their
+    ``upwind_orientation`` blocks, their ``product_rule_weights``, the
+    mask ``positive`` of faces with u >= 0 (upstream cell on the left)
+    and, only where there are no orientation blocks, its complement
+    ``negative`` (None elsewhere).  ``face_flow`` builds it once per run.
     """
 
+    grid: object
     u_faces: tuple
     orientations: tuple
     weights: tuple
@@ -202,6 +195,7 @@ def face_flow(u_faces, grid, order):
     orientations = tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces))
     positive = tuple(u >= 0.0 for u in u_faces)
     return FaceFlow(
+        grid,
         tuple(u_faces),
         orientations,
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
@@ -210,22 +204,23 @@ def face_flow(u_faces, grid, order):
     )
 
 
-def _stencil_sum(q, scheme, d, mirrored, out, term, index=..., where=True):
-    """Add the stencil at the faces ``index`` into ``out``, where ``where``.
+def _stencil_sum(q, scheme, d, mirrored, out, term):
+    """The stencil along ``d`` in one orientation, summed into ``out``.
 
-    ``out`` and the scratch ``term`` have the shape of those faces.
+    Each stencil point is one ``neighbour_apply``, added in coefficient
+    order to a sum that starts at 0.0.  The first point is formed in
+    ``out`` itself and 0.0 added to it, which is ``0.0 + term`` bitwise
+    (IEEE addition commutes); the others in the scratch ``term``.
     """
-    dim = q.grid.dim
-    for s, a in zip(scheme.offsets, scheme.coefficients):
-        view = q.shifted(_axis_offset(d, -s if mirrored else s - 1, dim))[index]
-        np.multiply(view, a, out=term, where=where)
-        np.add(out, term, out=out, where=where)
+    for i, (s, a) in enumerate(zip(scheme.offsets, scheme.coefficients)):
+        neighbour_apply(np.multiply, q, -s if mirrored else s - 1, a, 0, d, term if i else out)
+        out += term if i else 0.0
     return out
 
 
-def _prefix(a, shape):
-    """The contiguous leading entries of ``a``, viewed with ``shape``."""
-    return a.reshape(-1)[:math.prod(shape)].reshape(shape)
+def _prefix(a, shape, skip=0):
+    """Contiguous entries of ``a`` after the first ``skip``, viewed with ``shape``."""
+    return a.reshape(-1)[skip:skip + math.prod(shape)].reshape(shape)
 
 
 def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
@@ -235,34 +230,40 @@ def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
     stencil reads cells (k-1)+s and the mirrored one reads cells k-s.
     Upwind schemes take the orientation from the ``FaceFlow``: each block
     of faces sharing one (see ``upwind_orientation``) is built once with
-    that orientation only, its scratch a contiguous prefix of ``term``;
-    where the sign varies along the normal each face is built with its
-    own orientation (ties at u == 0 take the positive one).  Centered
-    schemes ignore ``flow``.  The values are written into ``out``;
-    ``out`` and the scratch ``term`` and ``total`` are fresh arrays when
-    not given.
+    that orientation only.  A block that is one contiguous run of the
+    array (every face, or a run of rows) is built in place; a run of
+    columns is built in pieces, each copied into a contiguous prefix of
+    ``total``, summed in the rest of it and copied out once, because
+    ufuncs on strided blocks take about twice as long.  Where the sign
+    varies along the normal both orientations are built over every face,
+    the mirrored one in ``total``, and copied in at the faces with u < 0.
+    Centered schemes ignore ``flow``.  The values are written into
+    ``out``; ``out`` and the scratch ``term`` and ``total`` are fresh
+    arrays when not given.
     """
     if scheme.is_upwind and flow is None:
         raise ValueError("upwind interpolation needs face velocities")
-    out, term, total = (np.empty(q.grid.shape) if a is None else a for a in (out, term, total))
+    out, term, total = (np.empty(q.shape) if a is None else a for a in (out, term, total))
     if not scheme.is_upwind:
-        out.fill(0.0)
         return _stencil_sum(q, scheme, d, False, out, term)
     blocks = flow.orientations[d]
     if blocks is None:
-        out.fill(0.0)
-        _stencil_sum(q, scheme, d, False, out, term, where=flow.positive[d])
-        return _stencil_sum(q, scheme, d, True, out, term, where=flow.negative[d])
+        _stencil_sum(q, scheme, d, False, out, term)
+        np.copyto(out, _stencil_sum(q, scheme, d, True, total, term), where=flow.negative[d])
+        return out
     for index, mirrored in blocks:
-        block = out[index]
-        # a strided block (a run of columns) is summed in a contiguous
-        # prefix of ``total`` and copied in once: in-place adds on the
-        # strided block itself take several times as long
-        acc = block if block.flags.c_contiguous else _prefix(total, block.shape)
-        acc.fill(0.0)
-        _stencil_sum(q, scheme, d, mirrored, acc, _prefix(term, block.shape), index)
-        if acc is not block:
-            block[...] = acc
+        if out[index].flags.c_contiguous:
+            _stencil_sum(q[index], scheme, d, mirrored, out[index], term[index])
+            continue
+        # a run of columns (2D, d = 0), in pieces at most half the grid wide
+        run, width = index[1], q.shape[1] // 2
+        for a in range(run.start, run.stop, width):
+            piece = (slice(None), slice(a, min(a + width, run.stop)))
+            cells = out[piece].shape
+            source = _prefix(total, cells)
+            source[...] = q[piece]
+            acc = _prefix(total, cells, source.size)
+            out[piece] = _stencil_sum(source, scheme, d, mirrored, acc, _prefix(term, cells))
     return out
 
 

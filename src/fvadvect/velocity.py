@@ -102,11 +102,3 @@ def max_speed(v, grid):
     if s == 0.0:
         raise ValueError("velocity field has zero maximum speed; cannot set dt")
     return s
-
-
-def face_divergence(u_faces, grid):
-    """Discrete divergence of the face velocities (diagnostic, ~0 exactly)."""
-    out = np.zeros(grid.shape)
-    for d, uf in enumerate(u_faces):
-        out += np.roll(uf, -1, axis=d) - uf
-    return out / grid.h

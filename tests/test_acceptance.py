@@ -13,7 +13,7 @@ from closed_forms import scheme_eigenvalue
 from fvadvect.analysis import max_stable_sigma, stencil_eigenvalue
 from fvadvect.driver import integrate
 from fvadvect.fct import fct_advance
-from fvadvect.grid import CellField, Grid, flux_divergence
+from fvadvect.grid import Grid, flux_divergence
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.problems import (
@@ -168,7 +168,7 @@ def test_criterion_05_slotted_cylinder():
         "slotted", "rotation", "u9", 256, 2, "on", sigma=0.8, t_final=1.0
     )
     j = int(round(0.75 * grid.n - 0.5))  # row through the cylinder center
-    row = result.field.interior[:, j]
+    row = result.field[:, j]
     x = grid.cell_centers(0)
     slot = np.abs(x - 0.5) <= spec.slot_width / 2
     slot_min = float(row[slot].min())
@@ -199,13 +199,13 @@ def test_criterion_06_degeneracy_oracles(velocity):
     dt = 0.8 * grid.h / max(1.0, np.pi)
 
     flow = face_flow(uf, grid, 4)
-    q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt)
+    q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt, grid)
     q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
-    high_gap = float(np.max(np.abs(q_one.interior - q_high.interior)))
+    high_gap = float(np.max(np.abs(q_one - q_high)))
 
-    q_td = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt)
+    q_td = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt, grid)
     q_zero, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=0.0)
-    low_bitwise = np.array_equal(q_zero.interior, q_td.interior)
+    low_bitwise = np.array_equal(q_zero, q_td)
 
     ok = high_gap <= 1e-13 and low_bitwise
     report(
@@ -272,27 +272,24 @@ def test_criterion_09_ctu_stability_advantage():
     dt = 0.9 * grid.h
     m0 = float(np.abs(vals).max())
 
-    q = CellField.from_interior(grid, vals)
+    q = vals
     ctu_ok = True
     prev = m0
     for _ in range(100):
-        q = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt)
-        cur = float(np.abs(q.interior).max())
+        q = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt, grid)
+        cur = float(np.abs(q).max())
         ctu_ok &= cur <= prev + 1e-12
         prev = cur
 
-    q_dc = CellField.from_interior(grid, vals)
+    q_dc = vals
     dc_max = m0
     for _ in range(100):
         fluxes = tuple(
-            uf[d] * np.where(uf[d] >= 0.0, np.roll(q_dc.interior, 1, axis=d),
-                             q_dc.interior)
+            uf[d] * np.where(uf[d] >= 0.0, np.roll(q_dc, 1, axis=d), q_dc)
             for d in range(2)
         )
-        q_dc = CellField.from_interior(
-            grid, q_dc.interior - flux_divergence(grid, fluxes, dt)
-        )
-        dc_max = float(np.abs(q_dc.interior).max())
+        q_dc = q_dc - flux_divergence(grid, fluxes, dt)
+        dc_max = float(np.abs(q_dc).max())
         if not np.isfinite(dc_max) or dc_max > 10 * m0:
             break
     dc_diverged = (not np.isfinite(dc_max)) or dc_max > 10 * m0
@@ -319,11 +316,11 @@ def test_criterion_10_limiter_transparency_at_extrema():
         v = make_velocity("constant", grid)
         spec = standard_problem("cosine8", "constant", grid, radius=SMOOTH_RADIUS)
         q0 = initial_condition(spec, grid)
-        p0 = float(q0.interior.max())
+        p0 = float(q0.max())
         loss = {}
         for limiter in ("on", "off"):
             r = integrate(q0, v, grid, name, 0.8, 1.0, limiter=limiter)
-            loss[limiter] = p0 - float(r.field.interior.max())
+            loss[limiter] = p0 - float(r.field.max())
         if loss["off"] > 0:
             factor = loss["on"] / loss["off"]
             good = factor <= 1.5 and factor <= guards[name]

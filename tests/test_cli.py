@@ -94,7 +94,24 @@ class TestValidation:
     def test_n_too_small(self, capsys):
         code = main(["run", "--n", "8"])
         assert code == 1
-        assert "16" in capsys.readouterr().err
+        assert str(Grid.MIN_CELLS) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", (8, Grid.MIN_CELLS - 1))
+    def test_run_and_converge_share_the_minimum(self, capsys, n):
+        # one minimum, from the grid, with one message; converge checks
+        # every size before it runs any
+        code = main(["run", "--n", str(n), "--t-final", "0.0"])
+        run_err = capsys.readouterr().err
+        code_conv = main(["converge", "--n-list", f"32,{n}", "--t-final", "0.0"])
+        conv_err = capsys.readouterr().err
+        assert code == code_conv == 1
+        message = f"error: n must be at least {Grid.MIN_CELLS} cells, got {n}\n"
+        assert run_err == conv_err == message
+
+    def test_minimum_grid_runs(self, tmp_path):
+        n = str(Grid.MIN_CELLS)
+        assert main(["run", "--n", n, "--t-final", "0.05", "--out", str(tmp_path / "a.csv")]) == 0
+        assert main(["converge", "--n-list", f"{n},32", "--t-final", "0.05"]) == 0
 
     def test_sigma_above_limit_warns_not_errors(self, tmp_path):
         out = tmp_path / "sol.csv"
@@ -131,7 +148,7 @@ class TestRun:
         data = read_solution(out)
         g = Grid(1, 32)
         q0 = initial_condition(standard_problem("square", "constant", g), g)
-        assert np.array_equal(data[:, 2], q0.interior)
+        assert np.array_equal(data[:, 2], q0)
 
     def test_deterministic_output(self, tmp_path):
         args = [

@@ -3,7 +3,7 @@ import pytest
 
 from fvadvect import driver
 from fvadvect.driver import integrate
-from fvadvect.grid import CellField, Grid
+from fvadvect.grid import Grid
 from fvadvect.velocity import ConstantDiagonal
 
 
@@ -20,14 +20,14 @@ class TestNonFiniteInitialCondition:
         cell = (3,) * dim
         values[cell] = bad
         values[(5,) * dim] = bad  # a later one is not the one named
-        q0 = CellField.from_interior(g, values)
+        q0 = values
         monkeypatch.setattr(driver, "fct_advance", _no_step)
         with pytest.raises(ValueError, match=rf"not finite at cell \({', '.join(['3'] * dim)},?\)"):
             integrate(q0, ConstantDiagonal(dim=dim), g, "u5", 0.5, 0.1)
 
     def test_finite_input_runs(self):
         g = Grid(2, 16)
-        q0 = CellField.from_interior(g, np.ones(g.shape))
+        q0 = np.ones(g.shape)
         result = integrate(q0, ConstantDiagonal(dim=2), g, "u5", 0.5, 0.1)
         assert result.steps > 0
         assert result.conservation_drift <= 1e-12

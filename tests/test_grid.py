@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from fvadvect.grid import (
-    CellField,
     Grid,
     conserved_sum,
     fill_ghosts,
     flux_divergence,
     neighbour_apply,
-    periodic_pad,
 )
+
+
+def periodic_image(a, m, axis):
+    """The array whose entry k along ``axis`` is entry (k+m) % n of ``a``."""
+    out = np.empty(a.shape)
+    return neighbour_apply(np.add, a, m, 0.0, 0, axis, out)
 
 
 def kahan_sum(values):
@@ -30,17 +34,17 @@ class TestGrid:
         g = Grid(1, 16)
         assert g.h == pytest.approx(1.0 / 16)
         assert g.shape == (16,)
-        assert g.padded_shape == (28,)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             Grid(3, 32)
         with pytest.raises(ValueError):
-            Grid(1, 8)  # fewer than 2*ghost cells
-        with pytest.raises(ValueError):
-            Grid(1, 32, ghost=4)
+            Grid(1, 8)  # fewer cells than the widest read spans
+        with pytest.raises(ValueError, match=f"at least {Grid.MIN_CELLS} "):
+            Grid(2, Grid.MIN_CELLS - 1)
         with pytest.raises(ValueError):
             Grid(1, 32, lo=1.0, hi=0.0)
+        assert Grid(1, Grid.MIN_CELLS).n == 2 * 5 + 1
 
     def test_coordinates(self):
         g = Grid(2, 16, lo=0.0, hi=2.0)
@@ -54,59 +58,68 @@ class TestGrid:
 
 
 class TestFillGhosts:
+    """The periodic images a read wraps onto, through ``neighbour_apply``."""
+
     def test_constant_field(self):
-        g = Grid(1, 16)
-        f = CellField.from_interior(g, np.full(16, 3.0))
-        assert np.all(f.data == 3.0)
+        vals = np.full(16, 3.0)
+        for m in range(-5, 6):
+            assert np.all(periodic_image(vals, m, 0) == 3.0)
 
     def test_periodic_wrap_1d(self):
-        g = Grid(1, 16)
-        f = CellField.from_interior(g, np.arange(16, dtype=float))
-        # ghost just left of the interior is the periodic image of cell N-1
-        assert f.data[g.ghost - 1] == 15.0
-        assert f.data[g.ghost + 16] == 0.0
+        vals = np.arange(16, dtype=float)
+        # the read just left of cell 0 is the periodic image of cell N-1
+        assert periodic_image(vals, -1, 0)[0] == 15.0
+        assert periodic_image(vals, 1, 0)[15] == 0.0
 
     def test_2d_matches_index_arithmetic(self):
         rng = np.random.default_rng(0)
-        g = Grid(2, 16)
-        vals = rng.random((16, 16))
-        f = CellField.from_interior(g, vals)
-        n, ghost = g.n, g.ghost
-        for i in (0, 3, ghost + 5, n + ghost, 2 * ghost + n - 1):
-            for j in (0, 7, ghost, n + ghost + 2):
-                assert f.data[i, j] == vals[(i - ghost) % n, (j - ghost) % n]
+        n = 16
+        vals = rng.random((n, n))
+        for axis in (0, 1):
+            for m in (-5, -2, 3, 5):
+                image = periodic_image(vals, m, axis)
+                for i in (0, 3, 11, n - 1):
+                    for j in (0, 7, 10, n - 1):
+                        k = (i + m) % n if axis == 0 else i
+                        l = (j + m) % n if axis == 1 else j
+                        assert image[i, j] == vals[k, l]
 
     def test_idempotent_bitwise(self):
+        # writing the wrapped entries again leaves the result unchanged
         rng = np.random.default_rng(1)
-        g = Grid(2, 20)
-        f = CellField.from_interior(g, rng.random((20, 20)))
-        once = f.data.copy()
-        fill_ghosts(f)
-        assert np.array_equal(once, f.data)
+        vals = rng.random((20, 20))
+        for axis in (0, 1):
+            out = np.empty((20, 20))
+            neighbour_apply(np.add, vals, -3, 0.0, 0, axis, out)
+            once = out.copy()
+            wraps = [(axis_cut(axis, slice(0, 3)), axis_cut(axis, slice(17, 20)), None)]
+            fill_ghosts(np.add, vals, 0.0, out, wraps)
+            assert np.array_equal(once, out)
 
     def test_shifted_matches_roll(self):
         rng = np.random.default_rng(2)
-        g = Grid(2, 16)
         vals = rng.random((16, 16))
-        f = CellField.from_interior(g, vals)
         for off in ((1, 0), (-2, 3), (5, -5)):
             rolled = np.roll(np.roll(vals, -off[0], axis=0), -off[1], axis=1)
-            assert np.array_equal(f.shifted(off), rolled)
+            shifted = periodic_image(periodic_image(vals, off[0], 0), off[1], 1)
+            assert np.array_equal(shifted, rolled)
+
+
+def axis_cut(axis, sl):
+    return (sl, slice(None)) if axis == 0 else (slice(None), sl)
 
 
 class TestNeighbourReads:
     def test_pad_and_ghost_views_match_roll(self):
+        # every shift a kernel reads, in 1D and along both axes in 2D
         rng = np.random.default_rng(6)
         for dim in (1, 2):
             g = Grid(dim, 16)
             vals = rng.random(g.shape)
-            f = CellField.from_interior(g, vals)
             for axis in range(dim):
-                pad, ghosts = periodic_pad(vals, 3, axis), f.along(axis)
-                for m in range(-3, 4):
+                for m in range(-5, 6):
                     rolled = np.roll(vals, -m, axis=axis)
-                    assert np.array_equal(pad.at(m), rolled)
-                    assert np.array_equal(ghosts.at(m), rolled)
+                    assert np.array_equal(periodic_image(vals, m, axis), rolled)
 
     def test_neighbour_apply_matches_roll(self):
         rng = np.random.default_rng(7)
@@ -114,11 +127,21 @@ class TestNeighbourReads:
             g = Grid(dim, 16)
             x, y = rng.random(g.shape), rng.random(g.shape)
             for d in range(dim):
-                for mx in range(-2, 3):
-                    for my in range(-2, 3):
+                for mx in range(-5, 6):
+                    for my in range(-5, 6):
                         got = neighbour_apply(np.subtract, x, mx, y, my, d, np.empty(g.shape))
                         want = np.roll(x, -mx, axis=d) - np.roll(y, -my, axis=d)
                         assert np.array_equal(got, want)
+
+    def test_neighbour_apply_where_keeps_masked_entries(self):
+        rng = np.random.default_rng(8)
+        x, mask = rng.random((16, 16)), rng.random((16, 16)) < 0.5
+        for d in (0, 1):
+            for m in (-5, -1, 4):
+                out = np.full((16, 16), -7.0)
+                neighbour_apply(np.multiply, x, m, 2.0, 0, d, out, where=mask)
+                want = np.where(mask, 2.0 * np.roll(x, -m, axis=d), -7.0)
+                assert np.array_equal(out, want)
 
     def test_neighbour_apply_rejects_unusable_output(self):
         # a strided output cannot be flattened in place, and writing over an
@@ -133,23 +156,20 @@ class TestNeighbourReads:
 class TestConservedSum:
     def test_uniform(self):
         g = Grid(1, 16, hi=4.0)  # h = 0.25
-        f = CellField.from_interior(g, np.ones(16))
-        assert conserved_sum(f) == pytest.approx(4.0)
+        assert conserved_sum(g, np.ones(16)) == pytest.approx(4.0)
 
     def test_arithmetic(self):
         # four cells of h=0.25 would give (1+2+3+4)*0.25 = 2.5; use the
         # same values tiled to satisfy the minimum grid size
         g = Grid(1, 16, hi=4.0)
-        f = CellField.from_interior(g, np.tile([1.0, 2.0, 3.0, 4.0], 4))
-        assert conserved_sum(f) == pytest.approx(4 * 2.5)
+        assert conserved_sum(g, np.tile([1.0, 2.0, 3.0, 4.0], 4)) == pytest.approx(4 * 2.5)
 
     def test_matches_compensated_oracle(self):
         rng = np.random.default_rng(3)
         g = Grid(2, 24)
         vals = rng.standard_normal((24, 24)) * 1e3
-        f = CellField.from_interior(g, vals)
         oracle = kahan_sum(vals.ravel().tolist()) * g.h ** 2
-        assert conserved_sum(f) == pytest.approx(oracle, rel=1e-15)
+        assert conserved_sum(g, vals) == pytest.approx(oracle, rel=1e-15)
 
 
 class TestFluxDivergence:
@@ -181,8 +201,8 @@ class TestFluxDivergence:
     def test_update_conserves(self):
         rng = np.random.default_rng(5)
         g = Grid(1, 32)
-        f = CellField.from_interior(g, rng.random(32))
-        before = conserved_sum(f)
+        f = rng.random(32)
+        before = conserved_sum(g, f)
         F = (rng.standard_normal(32),)
-        g2 = CellField.from_interior(g, f.interior - flux_divergence(g, F, 0.01))
-        assert conserved_sum(g2) == pytest.approx(before, rel=1e-13, abs=1e-15)
+        after = conserved_sum(g, f - flux_divergence(g, F, 0.01))
+        assert after == pytest.approx(before, rel=1e-13, abs=1e-15)

@@ -22,34 +22,34 @@ class TestSquareIC:
         q = initial_condition(standard_problem("square", "constant", g), g)
         x = g.cell_centers(0)
         fully_inside = np.abs(x - 0.5) <= 0.15 - g.h
-        assert np.all(q.interior[fully_inside] == 1.0)
+        assert np.all(q[fully_inside] == 1.0)
 
     def test_outside_cells_exactly_zero(self):
         g = Grid(1, 128)
         q = initial_condition(standard_problem("square", "constant", g), g)
         x = g.cell_centers(0)
         outside = np.abs(x - 0.5) >= 0.15 + g.h
-        assert np.all(q.interior[outside] == 0.0)
+        assert np.all(q[outside] == 0.0)
 
     def test_half_overlap(self):
         # halfwidth of 4.5 cells puts the edge exactly mid-cell
         g = Grid(1, 32)
         spec = ProblemSpec(kind="square", center=(0.5,), halfwidth=4.5 * g.h)
         q = initial_condition(spec, g)
-        straddle = np.isclose(q.interior, 0.5)
+        straddle = np.isclose(q, 0.5)
         assert straddle.sum() == 2
 
     def test_total_mass_exact(self):
         g = Grid(1, 64)
         q = initial_condition(standard_problem("square", "constant", g), g)
-        assert q.interior.sum() * g.h == pytest.approx(0.3, rel=1e-14)
+        assert q.sum() * g.h == pytest.approx(0.3, rel=1e-14)
 
     def test_2d_product_structure(self):
         g = Grid(2, 64)
         q = initial_condition(standard_problem("square", "constant", g), g)
         gx = Grid(1, 64)
         qx = initial_condition(standard_problem("square", "constant", gx), gx)
-        assert np.allclose(q.interior, np.outer(qx.interior, qx.interior), atol=1e-15)
+        assert np.allclose(q, np.outer(qx, qx), atol=1e-15)
 
 
 class TestCosine8IC:
@@ -57,12 +57,12 @@ class TestCosine8IC:
         g = Grid(1, 128)
         spec = standard_problem("cosine8", "constant", g, radius=15 / 128)
         q = initial_condition(spec, g)
-        peak = int(np.argmax(q.interior))
+        peak = int(np.argmax(q))
         x = g.cell_centers(0)
         corner = abs(x[peak] - 0.5) + g.h / 2
         corner_val = point_value(spec, (np.array([0.5 + corner]),), g)[0]
-        assert q.interior[peak] < 1.0
-        assert q.interior[peak] >= corner_val
+        assert q[peak] < 1.0
+        assert q[peak] >= corner_val
 
     def test_quadrature_converged(self):
         g = Grid(1, 64)
@@ -81,8 +81,8 @@ class TestCosine8IC:
     def test_range(self):
         g = Grid(2, 64)
         q = initial_condition(standard_problem("cosine8", "constant", g, radius=15 / 128), g)
-        assert q.interior.min() >= 0.0
-        assert q.interior.max() < 1.0
+        assert q.min() >= 0.0
+        assert q.max() < 1.0
 
 
 class TestOtherICs:
@@ -91,8 +91,8 @@ class TestOtherICs:
         spec = standard_problem("semiellipse", "constant", g)
         assert spec.resolved_radius(g) == 0.25
         q = initial_condition(spec, g)
-        assert q.interior.min() >= 0.0
-        assert q.interior.max() <= 1.0
+        assert q.min() >= 0.0
+        assert q.max() <= 1.0
 
     def test_slotted_requires_rotation(self):
         g = Grid(2, 64)
@@ -112,8 +112,8 @@ class TestOtherICs:
         assert in_slot == 0.0
         assert outside == 0.0
         q = initial_condition(spec, g)
-        assert q.interior.min() >= 0.0
-        assert q.interior.max() <= 1.0
+        assert q.min() >= 0.0
+        assert q.max() <= 1.0
 
     def test_rotation_center_convention(self):
         g = Grid(2, 64)
@@ -133,7 +133,7 @@ class TestExactSolution:
         spec = standard_problem("square", "constant", g)
         a = initial_condition(spec, g)
         b = exact_solution(spec, v, 0.0, g)
-        assert np.array_equal(a.interior, b.interior)
+        assert np.array_equal(a, b)
 
     def test_constant_full_transit(self):
         g = Grid(1, 64)
@@ -151,7 +151,7 @@ class TestExactSolution:
         shifted = initial_condition(
             ProblemSpec(kind="square", center=(0.75,), halfwidth=0.15), g
         )
-        assert np.array_equal(moved.interior, shifted.interior)
+        assert np.array_equal(moved, shifted)
 
     def test_square_periodic_wrap(self):
         g = Grid(1, 64)
@@ -160,7 +160,7 @@ class TestExactSolution:
         moved = exact_solution(spec, v, 0.5, g)  # center wraps to 0.0
         x = g.cell_centers(0)
         near_zero = np.minimum(x, 1.0 - x) <= 0.15 - g.h
-        assert np.all(moved.interior[near_zero] == 1.0)
+        assert np.all(moved[near_zero] == 1.0)
 
     def test_rotation_full_period(self):
         g = Grid(2, 32)
@@ -177,7 +177,7 @@ class TestExactSolution:
         # forward flow is clockwise: the bump starting at (0.5, 0.75) sits
         # at (0.75, 0.5) after a quarter period
         b = exact_solution(spec, v, 0.25, g)
-        i, j = np.unravel_index(np.argmax(b.interior), b.interior.shape)
+        i, j = np.unravel_index(np.argmax(b), b.shape)
         x = g.cell_centers(0)
         assert abs(x[i] - 0.75) <= g.h
         assert abs(x[j] - 0.5) <= g.h
@@ -193,18 +193,15 @@ class TestMaxNormError:
         g = Grid(1, 64)
         a = initial_condition(standard_problem("square", "constant", g), g)
         b = a.copy()
-        b.interior[10] += 1e-3
+        b[10] += 1e-3
         assert max_norm_error(a, b) == pytest.approx(1e-3)
 
     def test_matches_scan_oracle(self):
         rng = np.random.default_rng(0)
-        g = Grid(2, 24)
-        from fvadvect.grid import CellField
-
-        a = CellField.from_interior(g, rng.random((24, 24)))
-        b = CellField.from_interior(g, rng.random((24, 24)))
+        a = rng.random((24, 24))
+        b = rng.random((24, 24))
         oracle = max(
-            abs(a.interior[i, j] - b.interior[i, j])
+            abs(a[i, j] - b[i, j])
             for i in range(24)
             for j in range(24)
         )

@@ -1,7 +1,8 @@
 """The limited step's kernels against their np.roll forms, bit for bit.
 
-The package reads periodic neighbours through views of a ghost frame or of
-one periodic pad and does its arithmetic in place.  The references below
+The package reads periodic neighbours through flat slices of plain arrays
+plus the wrapped runs (``grid.neighbour_apply``) and does its arithmetic in
+place.  The references below
 are the earlier forms, which roll whole arrays and build every
 intermediate afresh, in the same operation order.  Random fields include
 signed zeros, flat runs and exact zero face velocities, so every branch
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from fvadvect import fct, loworder, schemes
-from fvadvect.grid import CellField, Grid, flux_divergence
+from fvadvect.grid import Grid, flux_divergence
 from fvadvect.schemes import face_flow, scheme_coefficients
 
 
@@ -31,7 +32,7 @@ def ref_ctu_fluxes(qn, u_faces, dt, g):
     def donor(values, u_face, d):
         return np.where(u_face >= 0.0, np.roll(values, 1, axis=d), values)
 
-    q = qn.interior
+    q = qn
     upwind_flux = [u_faces[d] * donor(q, u_faces[d], d) for d in range(g.dim)]
     out = []
     for d in range(g.dim):
@@ -48,10 +49,10 @@ def ref_ctu_fluxes(qn, u_faces, dt, g):
 
 def ref_face_interpolate(q, scheme, d, u_face):
     """Both orientations built from rolled interiors, then chosen per face."""
-    c = q.interior
+    c = q
 
     def stencil(mirrored):
-        out = np.zeros(q.grid.shape)
+        out = np.zeros(q.shape)
         for s, a in zip(scheme.offsets, scheme.coefficients):
             m = -s if mirrored else s - 1
             out += a * np.roll(c, -m, axis=d)
@@ -94,11 +95,10 @@ def ref_product_rule_flux(q_face, u_face, order, d, g):
     return flux
 
 
-def ref_second_differences(q):
-    c = q.interior
+def ref_second_differences(c):
     return tuple(
         np.roll(c, -1, axis=d) - 2.0 * c + np.roll(c, 1, axis=d)
-        for d in range(q.grid.dim)
+        for d in range(c.ndim)
     )
 
 
@@ -107,7 +107,7 @@ def ref_antidiffusive(F_high, F_low):
 
 
 def ref_preconstrain(A, q_td, d2q, u_faces, dt, g):
-    td = q_td.interior
+    td = q_td
     out = []
     for d in range(g.dim):
         Ad = A[d]
@@ -145,8 +145,8 @@ def ref_window_extreme(c, radius, reducer):
 
 
 def ref_compute_bounds(qn, q_td, u_cell, sigma):
-    hi = np.maximum(qn.interior, q_td.interior)
-    lo = np.minimum(qn.interior, q_td.interior)
+    hi = np.maximum(qn, q_td)
+    lo = np.minimum(qn, q_td)
     s = fct.bounds_stencil_size(u_cell, sigma)
     q_max = np.where(
         s == 2, ref_window_extreme(hi, 2, np.maximum), ref_window_extreme(hi, 1, np.maximum)
@@ -157,10 +157,9 @@ def ref_compute_bounds(qn, q_td, u_cell, sigma):
     return q_max, q_min, s
 
 
-def ref_smooth_extremum_flags(field):
-    td = field.interior
+def ref_smooth_extremum_flags(td):
     smooth, constant = [], []
-    for d in range(field.grid.dim):
+    for d in range(td.ndim):
         dq = td - np.roll(td, 1, axis=d)
         dq_p1 = np.roll(dq, -1, axis=d)
         dq_m1 = np.roll(dq, 1, axis=d)
@@ -175,7 +174,7 @@ def ref_smooth_extremum_flags(field):
         constant.append(flat)
     any_smooth = smooth[0].copy()
     all_ok = smooth[0] | constant[0]
-    for d in range(1, field.grid.dim):
+    for d in range(1, td.ndim):
         any_smooth |= smooth[d]
         all_ok &= smooth[d] | constant[d]
     return all_ok & any_smooth
@@ -190,15 +189,13 @@ def _ref_limited_curvature(d2, axis):
     return np.where(pos, mag, np.where(neg, -mag, 0.0))
 
 
-def ref_extremum_bound_correction(flags, qn, d2q, q_max, q_min):
-    g = qn.grid
-    c = qn.interior
+def ref_extremum_bound_correction(flags, c, d2q, q_max, q_min):
     scale = float(np.max(np.abs(c))) if c.size else 0.0
     floor = fct.CURVATURE_FLOOR_REL * scale
-    ext_hi = np.full(g.shape, -np.inf)
-    margin = np.zeros(g.shape)
-    any_concave = np.zeros(g.shape, dtype=bool)
-    for d in range(g.dim):
+    ext_hi = np.full(c.shape, -np.inf)
+    margin = np.zeros(c.shape)
+    any_concave = np.zeros(c.shape, dtype=bool)
+    for d in range(c.ndim):
         d2lim = _ref_limited_curvature(d2q[d], d)
         slope = 0.5 * (np.roll(c, -1, axis=d) - np.roll(c, 1, axis=d))
         usable = np.abs(d2lim) > floor
@@ -216,15 +213,14 @@ def ref_extremum_bound_correction(flags, qn, d2q, q_max, q_min):
     return new_max, q_min
 
 
-def ref_laplacian_flags(qn, d2q, q_td=None):
-    g = qn.grid
+def ref_laplacian_flags(qn, d2q, g, q_td=None):
     lap = d2q[0].copy()
     for d in range(1, g.dim):
         lap += d2q[d]
     lap /= g.h * g.h
     lap_pos = ref_window_extreme(lap > 0.0, 1, np.logical_or)
     lap_neg = ref_window_extreme(lap < 0.0, 1, np.logical_or)
-    probe = (q_td if q_td is not None else qn).interior
+    probe = q_td if q_td is not None else qn
     oscillating = np.zeros(g.shape, dtype=bool)
     for d in range(g.dim):
         dq = probe - np.roll(probe, 1, axis=d)
@@ -246,7 +242,7 @@ def ref_compute_pqr(A, q_td, q_max, q_min, flagged, dt, g):
         right = np.roll(A[d], -1, axis=d)
         P_in += np.maximum(left, 0.0) - np.minimum(right, 0.0)
         P_out += np.maximum(right, 0.0) - np.minimum(left, 0.0)
-    td = q_td.interior
+    td = q_td
     Q_in = (q_max - td) * (h / dt)
     Q_out = (td - q_min) * (h / dt)
     R_in = np.where(P_in > 0.0, np.minimum(1.0, Q_in / np.where(P_in > 0.0, P_in, 1.0)), 0.0)
@@ -317,8 +313,8 @@ def state(request):
     dim, n = request.param
     rng = np.random.default_rng(100 + dim)
     g = Grid(dim, n)
-    qn = CellField.from_interior(g, rough(rng, g.shape))
-    q_td = CellField.from_interior(g, qn.interior + 0.1 * rough(rng, g.shape))
+    qn = rough(rng, g.shape)
+    q_td = qn + 0.1 * rough(rng, g.shape)
     return g, rng, qn, q_td
 
 
@@ -372,7 +368,7 @@ class TestSchemes:
 class TestFctPhases:
     def test_second_differences(self, state):
         _, _, qn, _ = state
-        assert_bitwise(fct.second_differences(qn.interior), ref_second_differences(qn))
+        assert_bitwise(fct.second_differences(qn), ref_second_differences(qn))
 
     def test_antidiffusive(self, state):
         g, rng, _, _ = state
@@ -389,7 +385,7 @@ class TestFctPhases:
         # conditions are met on some faces and missed on others
         A = tuple(0.05 * g.h * rough(rng, g.shape) for _ in range(g.dim))
         dt = 0.4 * g.h
-        got = fct.preconstrain(A, q_td.interior, d2q, u_faces, dt, g.h)
+        got = fct.preconstrain(A, q_td, d2q, u_faces, dt, g.h)
         want = ref_preconstrain(A, q_td, d2q, u_faces, dt, g)
         assert_bitwise(got, want)
         zeroed = sum(int(np.sum((a != 0) & (w == 0))) for a, w in zip(A, want))
@@ -398,46 +394,45 @@ class TestFctPhases:
     def test_compute_bounds(self, state):
         g, rng, qn, q_td = state
         u_cell = tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(g.dim))
-        got = fct.compute_bounds(qn.interior, q_td.interior, u_cell, 0.9)
+        got = fct.compute_bounds(qn, q_td, u_cell, 0.9)
         assert_bitwise(got, ref_compute_bounds(qn, q_td, u_cell, 0.9))
         assert 1 in got[2] and 2 in got[2]
 
     def test_smooth_extremum_flags(self, state):
         g, _, qn, q_td = state
         x = g.cell_center_mesh()
-        bump = CellField.from_interior(g, np.cos(2 * np.pi * sum(x)))
+        bump = np.cos(2 * np.pi * sum(x))
         for field in (qn, q_td, bump):
-            got = fct.smooth_extremum_flags(field.interior)
+            got = fct.smooth_extremum_flags(field)
             assert_bitwise(got, ref_smooth_extremum_flags(field))
         assert got.any()
 
     def test_extremum_bound_correction(self, state):
         g, rng, qn, q_td = state
         x = g.cell_center_mesh()
-        for field in (qn, CellField.from_interior(g, np.cos(2 * np.pi * sum(x)))):
+        for field in (qn, np.cos(2 * np.pi * sum(x))):
             d2q = ref_second_differences(field)
             q_max, q_min, _ = ref_compute_bounds(field, q_td, (np.ones(g.shape),) * g.dim, 0.3)
             flags = rng.random(g.shape) < 0.5
-            got = fct.extremum_bound_correction(flags, field.interior, d2q, q_max, q_min)
+            got = fct.extremum_bound_correction(flags, field, d2q, q_max, q_min)
             assert_bitwise(got, ref_extremum_bound_correction(flags, field, d2q, q_max, q_min))
 
     def test_laplacian_flags(self, state):
         g, _, qn, q_td = state
         d2q = ref_second_differences(qn)
         for probe in (None, q_td):
-            probe_values = None if probe is None else probe.interior
-            got = fct.laplacian_flags(qn.interior, d2q, g.h, q_td=probe_values)
-            assert_bitwise(got, ref_laplacian_flags(qn, d2q, q_td=probe))
+            got = fct.laplacian_flags(qn, d2q, g.h, q_td=probe)
+            assert_bitwise(got, ref_laplacian_flags(qn, d2q, g, q_td=probe))
         assert got.any()
 
     def test_compute_pqr(self, state):
         g, rng, _, q_td = state
         A = tuple(rough(rng, g.shape) for _ in range(g.dim))
-        q_max = q_td.interior + rough(rng, g.shape)
-        q_min = q_td.interior - rough(rng, g.shape)
+        q_max = q_td + rough(rng, g.shape)
+        q_min = q_td - rough(rng, g.shape)
         flagged = rng.random(g.shape) < 0.2
         dt = 0.4 * g.h
-        got = fct.compute_pqr(A, q_td.interior, q_max, q_min, flagged, dt, g.h)
+        got = fct.compute_pqr(A, q_td, q_max, q_min, flagged, dt, g.h)
         assert_bitwise(got, ref_compute_pqr(A, q_td, q_max, q_min, flagged, dt, g))
 
     def test_hybridize(self, state):
@@ -465,7 +460,7 @@ def _step_without_roll(monkeypatch, dim, limiter, n):
         patch = np.zeros(g.shape, dtype=bool)
         patch[(slice(24, 36),) * dim] = True
         q[~patch] = 0.0
-    qn = CellField.from_interior(g, q)
+    qn = q
     windows = []
     window = fct.limiter_window
     monkeypatch.setattr(fct, "limiter_window", lambda *a: windows.append(window(*a)) or windows[-1])
@@ -473,8 +468,8 @@ def _step_without_roll(monkeypatch, dim, limiter, n):
     flow = face_flow(u_faces, g, 6)
     q_new, _ = fct.fct_advance(qn, flow, u_cell, 0.3 * g.h, 0.3, scheme_coefficients("u9"),
                                limiter=limiter)
-    assert np.all(np.isfinite(q_new.interior))
-    return [cut(qn.interior).shape for cut, _, _ in windows]
+    assert np.all(np.isfinite(q_new))
+    return [window(qn).shape for window in windows]
 
 
 @pytest.mark.parametrize("limiter", fct.LIMITER_MODES)

@@ -48,7 +48,7 @@ def integrated_fields(g, v, q0, t_final, on_step=None, **kw):
     fields = []
 
     def keep(step, t, q):
-        fields.append(q.data.copy())
+        fields.append(q.copy())
         if on_step is not None:
             on_step(step, t, q)
 
@@ -73,8 +73,8 @@ def test_integrate_matches_fresh_buffers_every_step(problem, kw):
         step_dt = dt if step < STEPS else t_final - t
         q, _ = fct_advance(q, flow, u_cell, step_dt, speed * step_dt / g.h, s, **kw)
         t += step_dt
-        assert field.tobytes() == q.data.tobytes(), f"step {step}"
-    assert not np.array_equal(got[0], q0.data)
+        assert field.tobytes() == q.tobytes(), f"step {step}"
+    assert not np.array_equal(got[0], q0)
 
 
 def test_step_reads_qn_and_writes_the_other_frame():
@@ -83,14 +83,14 @@ def test_step_reads_qn_and_writes_the_other_frame():
     flow = face_flow(face_average_velocity(v, g), g, 6)
     u_cell = cell_average_velocity(v, g)
     ws = Workspace(g)
-    before = q0.data.copy()
+    before = q0.copy()
     dt = 0.5 * g.h
     q1, etas = fct_advance(q0, flow, u_cell, dt, 0.5, s, ws=ws)
     assert q1 is ws.frames[0] and all(e is f for e, f in zip(etas, ws.flux))
-    assert q0.data.tobytes() == before.tobytes()
-    q1_bytes = q1.data.tobytes()
+    assert q0.tobytes() == before.tobytes()
+    q1_bytes = q1.tobytes()
     q2, _ = fct_advance(q1, flow, u_cell, dt, 0.5, s, ws=ws)
-    assert q2 is ws.frames[1] and q1.data.tobytes() == q1_bytes
+    assert q2 is ws.frames[1] and q1.tobytes() == q1_bytes
     assert fct_advance(q2, flow, u_cell, dt, 0.5, s, ws=ws)[0] is ws.frames[0]
 
 
@@ -163,13 +163,7 @@ def test_interleaved_runs_share_no_state():
 @pytest.mark.parametrize("vel", ("rotation", "constant"))
 def test_steady_step_allocates_no_whole_grid_array(vel, limiter):
     """Traced allocation during one step above the level before it stays
-    below the size of one whole-grid array.
-
-    NumPy's iterator takes buffers of min(8192, size) elements per strided
-    operand for a ufunc on a view of a ghost frame; at N = 64 one of them
-    is as large as a grid array, at N = 256 (the benchmark's size) an
-    eighth of one.
-    """
+    below the size of one whole-grid array."""
     g = Grid(2, 256)
     v = make_velocity(vel, g)
     q0 = initial_condition(standard_problem("cosine8", vel, g), g)

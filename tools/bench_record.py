@@ -20,10 +20,11 @@ and the last line must parse as the benchmark's JSON result; a run where
 it does not is recorded as malformed.  Each run also keeps the benchmark's
 ``missing`` report: the traced layers the program no longer has.
 
-Each checkout is named by the tree of its ``src`` directory, and by its
-HEAD commit only when that commit is in the history of the repository
-this recorder belongs to (an export with a throwaway commit gets
-``git_sha`` null).
+Each checkout is named by the git tree id of its ``src`` directory,
+hashed from the files themselves (so an export without ``.git`` is named
+too), and by its HEAD commit only when that commit is in the history of
+the repository this recorder belongs to (an export with a throwaway
+commit gets ``git_sha`` null).
 ``--previous`` names an earlier record, by file and by the ``src`` tree
 of its change checkout; per workload and metric the file then holds the
 ratio of this record's change median to that record's change median.
@@ -34,6 +35,7 @@ reports and never gates: its exit code is 0 whatever the numbers say.
 import argparse
 import ast
 import datetime
+import hashlib
 import json
 import os
 import platform
@@ -67,6 +69,44 @@ def git_rev(checkout, rev):
     except (OSError, subprocess.SubprocessError):
         return None
     return out.stdout.strip() if out.returncode == 0 else None
+
+
+def tree_hash(directory):
+    """The git tree id of ``directory``'s files, computed without git.
+
+    Blobs and trees are hashed as git stores them (SHA-1 of
+    ``"<type> <size>\\0" + body``), so on a clean checkout the value equals
+    ``git rev-parse HEAD:<directory>``, and an exported checkout with no
+    ``.git`` gets the same name.  ``__pycache__`` directories and ``.pyc``
+    files (which the repository ignores) and empty directories (which git
+    does not store) are left out.
+    """
+    entries = []
+    for path in directory.iterdir():
+        if path.is_symlink():
+            mode, sha = b"120000", git_object(b"blob", os.readlink(path).encode())
+        elif path.is_dir():
+            if path.name == "__pycache__":
+                continue
+            mode, sha = b"40000", tree_hash(path)
+            if sha is None:
+                continue
+        elif path.suffix == ".pyc":
+            continue
+        else:
+            mode = b"100755" if os.access(path, os.X_OK) else b"100644"
+            sha = git_object(b"blob", path.read_bytes())
+        # git sorts a tree's entries by name, a directory's name as if it ended in "/"
+        key = path.name.encode() + (b"/" if mode == b"40000" else b"")
+        entries.append((key, mode + b" " + path.name.encode() + b"\0" + bytes.fromhex(sha)))
+    if not entries:
+        return None
+    return git_object(b"tree", b"".join(entry for _, entry in sorted(entries)))
+
+
+def git_object(kind, body):
+    """Hex SHA-1 id of a git object of ``kind`` with contents ``body``."""
+    return hashlib.sha1(kind + b" %d\0" % len(body) + body).hexdigest()
 
 
 def known_commit(sha):
@@ -209,7 +249,7 @@ def main(argv=None):
         "host": host(),
         # the tree of src/ names the measured code even after a commit is amended
         "checkouts": {side: {"git_sha": known_commit(git_rev(path, "HEAD")),
-                             "src_tree": git_rev(path, "HEAD:src"),
+                             "src_tree": tree_hash(path / "src"),
                              "dirty": bool(subprocess.run(
                                  ["git", "-C", str(path), "status", "--porcelain", "src"],
                                  capture_output=True, text=True).stdout.strip())}
