@@ -112,6 +112,8 @@ def _configure(args, command):
         raise ConfigError(f"unknown limiter mode {args.limiter!r}")
     if args.sigma <= 0:
         raise ConfigError("sigma must be positive")
+    if command == "run" and args.dump_every < 0:
+        raise ConfigError("dump-every must be non-negative")
     if command == "run":
         args.n_list = [args.n]
     else:
@@ -233,6 +235,8 @@ def cmd_converge(args):
 
 
 def cmd_analyze(args):
+    if args.samples < 1:
+        raise ConfigError("samples must be at least 1")
     if args.stability:
         rows = stability_table(dims=(1, 2))
         lines = ["scheme,D,sigma_max"]

@@ -7,7 +7,8 @@ uniform subsampling.  Exact solutions at later times reuse the same
 averaging rule on characteristic foot points.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,6 +50,13 @@ class ProblemSpec:
             raise ValueError(f"{self.kind} has no radius")
         return defaults[self.kind]
 
+    def half_extent(self, grid):
+        """Largest distance from ``center`` along any axis at which the
+        point function can be nonzero."""
+        if self.kind == "square":
+            return self.halfwidth
+        return self.resolved_radius(grid)
+
 
 def standard_problem(kind, velocity_kind, grid, radius=None):
     """Spec with the conventional center for the velocity field.
@@ -58,6 +66,8 @@ def standard_problem(kind, velocity_kind, grid, radius=None):
     """
     if kind not in IC_KINDS:
         raise ValueError(f"unknown initial condition {kind!r}")
+    if radius is not None and not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     if kind == "slotted" and (grid.dim != 2 or velocity_kind != "rotation"):
         raise ValueError("slotted cylinder requires 2D solid-body rotation")
     mid = 0.5 * (grid.lo + grid.hi)
@@ -107,29 +117,55 @@ def _wrap(x, grid):
     return grid.lo + np.mod(x - grid.lo, grid.extent)
 
 
+def _candidate_cells(spec, grid, map_back):
+    """Index arrays of the cells whose average can be nonzero.
+
+    Every quadrature point of a cell lies within sqrt(dim)/2 cell widths of
+    its centre, and both back-traces are isometries (a rotation, or a
+    translation whose wrap the periodic distance covers), so a cell whose
+    centre's foot is farther than that from the feature's support on some
+    axis has every point value exactly 0.0.  One further cell width of
+    margin absorbs the rounding of the traced coordinates.
+    """
+    feet = np.ix_(*(grid.cell_centers(d) for d in range(grid.dim)))
+    if map_back is not None:
+        feet = map_back(feet)
+    reach = spec.half_extent(grid) + (0.5 * np.sqrt(grid.dim) + 1.0) * grid.h
+    near = np.ones(grid.shape, dtype=bool)
+    for x, c in zip(feet, spec.center):
+        delta = np.mod(x - c, grid.extent)
+        near &= np.minimum(delta, grid.extent - delta) <= reach
+    return np.nonzero(near)
+
+
 def _averaged(spec, grid, offsets, weights, map_back=None):
     """Cell averages of the (possibly back-traced) point function.
 
     ``offsets``/``weights`` define a 1D quadrature on [0, 1) applied per
     axis as a tensor product; ``map_back`` sends evaluation points to their
-    characteristic feet.
+    characteristic feet.  The quadrature is summed over the candidate cells
+    only (``_candidate_cells``); every other cell is exactly 0.0, the
+    average of a function that is 0.0 at each of its points.
     """
-    base = [grid.lo + np.arange(grid.n) * grid.h for _ in range(grid.dim)]
-    values = np.zeros(grid.shape)
+    cells = _candidate_cells(spec, grid, map_back)
+    # the lower edges of the candidate cells along each axis
+    base = [grid.lo + index * grid.h for index in cells]
+    sums = np.zeros(len(cells[0]))
     total_weight = 0.0
     for combo in np.ndindex(*((len(offsets),) * grid.dim)):
-        axes = [base[d] + offsets[combo[d]] * grid.h for d in range(grid.dim)]
-        pts = np.meshgrid(*axes, indexing="ij") if grid.dim > 1 else [axes[0]]
+        pts = tuple(b + offsets[k] * grid.h for b, k in zip(base, combo))
         if map_back is not None:
-            pts = map_back(tuple(pts))
+            pts = map_back(pts)
         w = 1.0
         for d in range(grid.dim):
             w *= weights[combo[d]]
-        values += w * point_value(spec, tuple(pts), grid)
+        sums += w * point_value(spec, pts, grid)
         total_weight += w
+    values = np.zeros(grid.shape)
     # normalizing by the identically accumulated weight total keeps cells
     # inside constant regions exact (an all-ones cell averages to 1.0)
-    return values / total_weight
+    values[cells] = sums / total_weight
+    return values
 
 
 def _gauss_rule(npts=GAUSS_POINTS):

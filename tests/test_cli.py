@@ -113,6 +113,31 @@ class TestValidation:
         assert main(["run", "--n", n, "--t-final", "0.05", "--out", str(tmp_path / "a.csv")]) == 0
         assert main(["converge", "--n-list", f"{n},32", "--t-final", "0.05"]) == 0
 
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize("radius", ["0", "-0.1", "nan", "inf"])
+    def test_bad_radius(self, capsys, command, radius):
+        sizes = ["--n", "32"] if command == "run" else ["--n-list", "32,64"]
+        code = main([command, "--ic", "cosine8", "--radius", radius, *sizes, "--t-final", "0.1"])
+        assert code == 1
+        assert "radius must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_samples(self, capsys, samples):
+        code = main(["analyze", "--scheme", "u5", "--samples", samples])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "error: samples must be at least 1\n"
+
+    def test_negative_dump_every(self, tmp_path, capsys):
+        code = main([
+            "run", "--n", "16", "--t-final", "0.1", "--dump-every", "-1",
+            "--dump-prefix", str(tmp_path / "snap"),
+        ])
+        assert code == 1
+        assert "dump-every must be non-negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_sigma_above_limit_warns_not_errors(self, tmp_path):
         out = tmp_path / "sol.csv"
         with pytest.warns(UserWarning):

@@ -120,6 +120,12 @@ class TestOtherICs:
         spec = standard_problem("cosine8", "rotation", g)
         assert spec.center == (0.5, 0.75)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_radius_must_be_finite_and_positive(self, radius):
+        g = Grid(1, 64)
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            standard_problem("cosine8", "constant", g, radius=radius)
+
     def test_unknown_kind(self):
         g = Grid(1, 64)
         with pytest.raises(ValueError):
