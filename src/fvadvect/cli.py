@@ -110,10 +110,13 @@ def _configure(args, command):
         raise ConfigError(f"unknown scheme {args.scheme!r}")
     if args.limiter not in LIMITER_MODES:
         raise ConfigError(f"unknown limiter mode {args.limiter!r}")
-    if args.sigma <= 0:
-        raise ConfigError("sigma must be positive")
+    # checked before the stability probe, which reads sigma first
+    if not 0.0 < args.sigma < np.inf:
+        raise ConfigError(f"sigma must be positive and finite, got {args.sigma}")
     if command == "run" and args.dump_every < 0:
         raise ConfigError("dump-every must be non-negative")
+    if command == "run" and args.dump_every and not args.dump_prefix:
+        raise ConfigError("dump-every needs a dump-prefix to write to")
     if command == "run":
         args.n_list = [args.n]
     else:
@@ -173,13 +176,11 @@ def cmd_run(args):
     spec = standard_problem(args.ic, args.velocity, grid, radius=args.radius)
     q0 = initial_condition(spec, grid)
 
-    dumps = []
-    if args.dump_every and args.dump_prefix:
+    if args.dump_every:
         def on_step(step, t, q):
             if step % args.dump_every == 0:
                 path = f"{args.dump_prefix}{step:06d}.csv"
                 _write_solution_csv(path, grid, q, [("t", _fmt(t)), ("step", step)])
-                dumps.append(path)
     else:
         on_step = None
 
@@ -245,11 +246,9 @@ def cmd_analyze(args):
     else:
         if args.scheme is None:
             raise ConfigError("analyze needs --scheme (or --stability)")
-        if args.scheme not in SCHEME_NAMES:
-            raise ConfigError(f"unknown scheme {args.scheme!r}")
         sigma = 0.8 if args.sigma is None else args.sigma
-        if sigma <= 0:
-            raise ConfigError("sigma must be positive")
+        if not 0.0 < sigma < np.inf:
+            raise ConfigError(f"sigma must be positive and finite, got {sigma}")
         table = phase_dissipation_curve(args.scheme, sigma, samples=args.samples)
         lines = ["beta,dissipation,phase_error"]
         lines += [f"{_fmt(b)},{_fmt(d)},{_fmt(p)}" for b, d, p in table]

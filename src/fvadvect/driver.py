@@ -51,8 +51,6 @@ def integrate(
     t_final,
     limiter="on",
     order=None,
-    preconstraint=True,
-    force_eta=None,
     collect_eta_stats=False,
     on_step=None,
 ):
@@ -67,18 +65,19 @@ def integrate(
     fraction of faces with eta < 1).  ``on_step`` is called as
     ``on_step(step_index, time, field)`` after every step; ``field`` is a
     workspace frame, valid until the next step overwrites it, so a
-    callback that keeps it must copy it.  A ``q0`` with a non-finite cell
-    is rejected with a ``ValueError`` naming the first such cell, before
-    any step.
+    callback that keeps it must copy it.  A non-finite ``sigma`` or
+    ``t_final``, and a ``q0`` with a non-finite cell, are rejected with a
+    ``ValueError`` that names the value or the first such cell, before any
+    step.
     """
     if isinstance(scheme, str):
         scheme = scheme_coefficients(scheme)
     if order is None:
         order = default_product_order(scheme)
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if t_final < 0.0:
-        raise ValueError("t_final must be non-negative")
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    if not 0.0 <= t_final < np.inf:
+        raise ValueError(f"t_final must be non-negative and finite, got {t_final}")
     non_finite = np.argwhere(~np.isfinite(q0))
     if non_finite.size:
         cell = tuple(int(i) for i in non_finite[0])
@@ -104,10 +103,7 @@ def integrate(
     for step in range(1, n_steps + 1):
         step_dt = dt if step < n_steps else t_final - t
         step_sigma = speed * step_dt / grid.h
-        q, etas = fct_advance(
-            q, flow, u_cell, step_dt, step_sigma, scheme,
-            limiter=limiter, preconstraint=preconstraint, force_eta=force_eta, ws=ws,
-        )
+        q, etas = fct_advance(q, flow, u_cell, step_dt, step_sigma, scheme, ws, limiter)
         if not np.all(np.isfinite(q, out=ws.active[0])):
             raise NumericsError(step)
         if collect_eta_stats and etas is not None:

@@ -26,7 +26,7 @@ import itertools
 
 import numpy as np
 
-from .grid import Workspace, flux_divergence, neighbour_apply
+from .grid import flux_divergence, neighbour_apply
 from .highorder import rk4_high_order_step
 from .loworder import ctu_fluxes, low_order_update
 
@@ -151,19 +151,19 @@ def bounds_stencil_size(u_cell, sigma):
 def compute_bounds(qn, q_td, u_cell, sigma):
     """Windowed bounds from both the old and transported-diffused states.
 
-    Returns ``(q_max, q_min, s)`` where the window is the [2s+1]^dim block
-    around each cell and the candidates are q_n and q_td together.
+    Returns ``(q_max, q_min)`` over the [2s+1]^dim block around each
+    cell, s from ``bounds_stencil_size``, with q_n and q_td together as
+    the candidates.
     """
     hi = np.maximum(qn, q_td)
     lo = np.minimum(qn, q_td)
-    s = bounds_stencil_size(u_cell, sigma)
-    wide = s == 2
+    wide = bounds_stencil_size(u_cell, sigma) == 2
     q_max, wide_max = _box_extremes(hi, 2, np.maximum)
     np.copyto(q_max, wide_max, where=wide)
     del wide_max
     q_min, wide_min = _box_extremes(lo, 2, np.minimum)
     np.copyto(q_min, wide_min, where=wide)
-    return q_max, q_min, s
+    return q_max, q_min
 
 
 def _directional_extremum_tests(q_td):
@@ -242,8 +242,8 @@ def _limited_curvature(d2, axis):
     return out
 
 
-def extremum_bound_correction(flags, qn, d2q, q_max, q_min, scale=None):
-    """Relax the upper bound at flagged cells using a local parabola.
+def extremum_bound_correction(flags, qn, d2q, q_max, scale):
+    """The upper bound relaxed at flagged cells using a local parabola.
 
     Per dimension, the parabola through the three old-time cell values is
     evaluated at its vertex (clamped to the cell) and deconvolved to a
@@ -251,15 +251,15 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min, scale=None):
     upper bound of the cell value plus twice the distance to the extremum
     estimate.  Three safeguards keep the relaxation from outrunning the
     data: the curvature is minmod-limited (see above), curvature below
-    CURVATURE_FLOOR_REL of the field scale (``scale``: by default max|qn|,
-    which a window of the grid must take from the whole grid) is ignored,
+    CURVATURE_FLOOR_REL of the field scale ``scale`` (max|qn|, which a
+    window of the grid must take from the whole grid) is ignored,
     and the grown bound is capped at the windowed bound plus the limited
     curvature magnitude,
     which is several times the real headroom a resolved extremum needs
     between steps.  The correction never tightens below the windowed
     bounds, and unflagged cells keep their bounds bitwise.
 
-    The lower bound is returned unchanged: the augmentation formula adds
+    The lower bound needs no correction: the augmentation formula adds
     min(0, 2|q_ext - q_n|) = 0, i.e. it replaces the lower bound with the
     old cell value, and under the never-tighten rule that is the windowed
     bound itself.  The asymmetry means smooth minima are not protected
@@ -267,7 +267,7 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min, scale=None):
     growth below the running window floor structurally impossible.
     """
     c = qn
-    floor = CURVATURE_FLOOR_REL * (float(np.max(np.abs(c))) if scale is None else scale)
+    floor = CURVATURE_FLOOR_REL * scale
     ext_hi = np.full(c.shape, -np.inf)
     margin = np.zeros(c.shape)
     any_concave = np.zeros(c.shape, dtype=bool)
@@ -303,11 +303,10 @@ def extremum_bound_correction(flags, qn, d2q, q_max, q_min, scale=None):
     grow += c
     np.minimum(grow, np.add(q_max, margin, out=margin), out=grow)
     np.maximum(q_max, grow, out=grow)
-    new_max = np.where(flags & any_concave, grow, q_max)
-    return new_max, q_min
+    return np.where(flags & any_concave, grow, q_max)
 
 
-def laplacian_flags(qn, d2q, h, q_td=None):
+def laplacian_flags(d2q, h, q_td):
     """Oscillating-extremum mask: curvature flips sign across the extremum.
 
     A cell qualifies when the discrete Laplacian (summed second
@@ -327,18 +326,17 @@ def laplacian_flags(qn, d2q, h, q_td=None):
     to first order.
     """
     lap = d2q[0].copy()
-    for d in range(1, qn.ndim):
+    for d in range(1, q_td.ndim):
         lap += d2q[d]
     lap /= h * h
     (lap_pos,) = _box_extremes(lap > 0.0, 1, np.logical_or)
     (lap_neg,) = _box_extremes(lap < 0.0, 1, np.logical_or)
     del lap
-    probe = q_td if q_td is not None else qn
-    oscillating = np.zeros(qn.shape, dtype=bool)
-    dq, buf = np.empty(qn.shape), np.empty(qn.shape)
-    for d in range(qn.ndim):
-        neighbour_apply(np.subtract, probe, 0, probe, -1, d, dq)
-        dq *= neighbour_apply(np.subtract, probe, 1, probe, 0, d, buf)
+    oscillating = np.zeros(q_td.shape, dtype=bool)
+    dq, buf = np.empty(q_td.shape), np.empty(q_td.shape)
+    for d in range(q_td.ndim):
+        neighbour_apply(np.subtract, q_td, 0, q_td, -1, d, dq)
+        dq *= neighbour_apply(np.subtract, q_td, 1, q_td, 0, d, buf)
         bracket = dq <= 0.0
         (any_pos,) = _line_extremes(d2q[d] > 0.0, 1, np.logical_or, d)
         (any_neg,) = _line_extremes(d2q[d] < 0.0, 1, np.logical_or, d)
@@ -466,18 +464,7 @@ def _circular_run(start, length, n, lo):
     return [(slice(a, a + m), slice((a - lo) % n, (a - lo) % n + m)) for a, m in runs]
 
 
-def fct_advance(
-    qn,
-    flow,
-    u_cell,
-    dt,
-    sigma,
-    scheme,
-    limiter="on",
-    preconstraint=True,
-    force_eta=None,
-    ws=None,
-):
+def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
     """One full time step.  Returns ``(q_new, etas)``.
 
     ``flow`` is the run's ``FaceFlow`` (face velocities, upwind signs and
@@ -487,63 +474,47 @@ def fct_advance(
     limiter="off"      pure unlimited high-order update
     limiter="off-low"  pure CTU update (diagnostic)
 
-    With the limiter on, the limiter phases run on ``limiter_window``'s
-    window only; faces outside its core get eta = 0, and with no active
-    face the step returns the transported-diffused state.
-
-    ``force_eta`` overrides the computed hybridization coefficient with a
-    constant in [0, 1] on the whole grid (0 recovers CTU bitwise, 1 with
-    ``preconstraint=False`` recovers the high-order update to roundoff).
-    Both arguments are checked before any flux is computed.
+    ``limiter`` is checked before any flux is computed.  With the limiter
+    on, the limiter phases run on ``limiter_window``'s window only; faces
+    outside its core get eta = 0, and with no active face the step returns
+    the transported-diffused state.
 
     Every whole-grid array of the step is a buffer of ``ws``, the run's
-    ``Workspace`` (a fresh one by default).  ``qn`` is only read; ``q_new``
-    is ``ws.next_frame(qn)`` and the whole-grid ``etas`` are ``ws.flux``,
-    so both stay valid until the next step with the same workspace.
+    ``Workspace``.  ``qn`` is only read; ``q_new`` is ``ws.next_frame(qn)``
+    and the whole-grid ``etas`` are ``ws.flux``, so both stay valid until
+    the next step with the same workspace.
     """
     if limiter not in LIMITER_MODES:
         raise ValueError(
             f"unknown limiter mode {limiter!r}; expected one of {', '.join(LIMITER_MODES)}"
         )
-    if force_eta is not None and not 0.0 <= force_eta <= 1.0:
-        raise ValueError(f"force_eta must lie in [0, 1], got {force_eta!r}")
     grid = flow.grid
-    ws = Workspace(grid) if ws is None else ws
     u_faces, h = flow.u_faces, grid.h
     if limiter == "off-low":
-        F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
+        F_low = ctu_fluxes(qn, flow, dt, ws)
         return low_order_update(qn, F_low, dt, grid, ws), None
     F_high = rk4_high_order_step(qn, flow, dt, scheme, ws)
     if limiter == "off":
         return low_order_update(qn, F_high, dt, grid, ws), None
 
-    F_low = ctu_fluxes(qn, u_faces, dt, grid, ws, flow.positive)
+    F_low = ctu_fluxes(qn, flow, dt, ws)
     q_td = low_order_update(qn, F_low, dt, grid, ws)
     A = antidiffusive(F_high, F_low, F_high)
     # F_low's storage is free once A is formed
     etas = ws.flux
     for eta in etas:
-        eta.fill(0.0 if force_eta is None else float(force_eta))
-    if force_eta is not None:
-        if preconstraint:
-            A = preconstrain(A, q_td, second_differences(qn), u_faces, dt, h)
-        for a, eta in zip(A, etas):
-            a *= eta
-        q_td -= flux_divergence(grid, A, dt, *ws.scratch)
-        return q_td, etas
-
+        eta.fill(0.0)
     scale = float(np.max(np.abs(qn, out=ws.face)))
     window = limiter_window(A, dt, h, scale, ws.face, ws.active)
     if window is None:
         return q_td, etas
     qn_w, td_w, A_w = window(qn), window(q_td), tuple(map(window, A))
     d2q = second_differences(qn_w)
-    if preconstraint:
-        A_w = preconstrain(A_w, td_w, d2q, tuple(map(window, u_faces)), dt, h)
-    q_max, q_min, _ = compute_bounds(qn_w, td_w, tuple(map(window, u_cell)), sigma)
+    A_w = preconstrain(A_w, td_w, d2q, tuple(map(window, u_faces)), dt, h)
+    q_max, q_min = compute_bounds(qn_w, td_w, tuple(map(window, u_cell)), sigma)
     flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
-    q_max, q_min = extremum_bound_correction(flags, qn_w, d2q, q_max, q_min, scale)
-    oscillating = flags & laplacian_flags(qn_w, d2q, h, q_td=td_w)
+    q_max = extremum_bound_correction(flags, qn_w, d2q, q_max, scale)
+    oscillating = flags & laplacian_flags(d2q, h, td_w)
     R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h)
     # the limited antidiffusion on the window: eta * A at the core faces,
     # zero elsewhere, as it is on the rest of the grid

@@ -44,8 +44,8 @@ class Grid:
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
         check_cells(n)
-        if not hi > lo:
-            raise ValueError("domain must have hi > lo")
+        if not 0.0 < hi - lo < math.inf:
+            raise ValueError(f"domain extent must be positive and finite, got [{lo}, {hi}]")
         self.dim = dim
         self.n = int(n)
         self.lo = float(lo)
@@ -99,15 +99,15 @@ def check_cells(n):
 class Workspace:
     """Every whole-grid buffer of one step, allocated once and reused.
 
-    ``integrate`` builds one per run; a kernel called without one builds
-    its own.  ``frames`` are two cell fields used in turn: a step reads
-    its state from one and leaves every state it forms (RK4 stages, then
-    the new state) in the other, ``next_frame(qn)``.  ``flux_high`` and
-    ``flux`` hold one face array per axis: the combined high-order flux
-    (then the antidiffusive flux) and a stage flux (then the CTU flux,
-    then the returned etas).  ``face`` holds face values, ``scratch``
-    two arrays that no kernel keeps across calls, and ``active`` one
-    boolean array per axis for the limiter's active faces.
+    ``integrate`` builds one per run and passes it to every kernel.
+    ``frames`` are two cell fields used in turn: a step reads its state
+    from one and leaves every state it forms (RK4 stages, then the new
+    state) in the other, ``next_frame(qn)``.  ``flux_high`` and ``flux``
+    hold one face array per axis: the combined high-order flux (then the
+    antidiffusive flux) and a stage flux (then the CTU flux, then the
+    returned etas).  ``face`` holds face values, ``scratch`` two arrays
+    that no kernel keeps across calls, and ``active`` one boolean array
+    per axis for the limiter's active faces.
     """
 
     def __init__(self, grid):

@@ -12,19 +12,15 @@ a step writes is a buffer of the run's ``Workspace``.
 
 import numpy as np
 
-from .grid import Workspace, flux_divergence
+from .grid import flux_divergence
 from .schemes import face_interpolate, product_rule_flux
 
 RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 
 
-def spatial_flux(q, flow, scheme, ws=None, out=None):
-    """Per-dimension face fluxes of q*u for one solution state.
-
-    Written into ``out`` (by default the workspace's ``flux``).
-    """
-    ws = Workspace(flow.grid) if ws is None else ws
-    out = ws.flux if out is None else out
+def spatial_flux(q, flow, scheme, ws, out):
+    """Per-dimension face fluxes of q*u for one solution state, written
+    into the face arrays ``out``."""
     term, twice = ws.scratch
     for d in range(q.ndim):
         face = face_interpolate(q, scheme, d, flow, ws.face, term, twice)
@@ -32,7 +28,7 @@ def spatial_flux(q, flow, scheme, ws=None, out=None):
     return out
 
 
-def rk4_high_order_step(qn, flow, dt, scheme, ws=None):
+def rk4_high_order_step(qn, flow, dt, scheme, ws):
     """The combined high-order face fluxes of one unlimited step.
 
     Their divergence is the RK4 update (``loworder.low_order_update``
@@ -44,7 +40,6 @@ def rk4_high_order_step(qn, flow, dt, scheme, ws=None):
     ``ws.next_frame(qn)``; ``qn`` is only read.
     """
     grid = flow.grid
-    ws = Workspace(grid) if ws is None else ws
     F_high, state = ws.flux_high, qn
     for stage, weight in enumerate(RK4_WEIGHTS):
         F = spatial_flux(state, flow, scheme, ws, F_high if stage == 0 else ws.flux)

@@ -16,7 +16,7 @@ CFL numbers up to one, independent of dimensionality.
 
 import numpy as np
 
-from .grid import Workspace, flux_divergence, neighbour_apply
+from .grid import flux_divergence, neighbour_apply
 
 
 def _donor_flux(q, u_face, positive, d, out):
@@ -29,16 +29,15 @@ def _donor_flux(q, u_face, positive, d, out):
     return neighbour_apply(np.multiply, u_face, 0, q, -1, d, out, where=positive)
 
 
-def ctu_fluxes(qn, u_faces, dt, grid, ws=None, positive=None):
+def ctu_fluxes(qn, flow, dt, ws):
     """Per-dimension CTU face fluxes for one step of size ``dt``.
 
-    Written into the workspace's ``flux``; the predicted state q_tilde is
-    formed in ``ws.next_frame(qn)``, which is free until the update.
-    ``positive`` holds per axis the mask of faces with u >= 0 (the run's
-    ``FaceFlow.positive``); it is formed here when not given.
+    The face velocities and their masks of faces with u >= 0 come from
+    the run's ``FaceFlow``.  The fluxes are written into the workspace's
+    ``flux``; the predicted state q_tilde is formed in
+    ``ws.next_frame(qn)``, which is free until the update.
     """
-    ws = Workspace(grid) if ws is None else ws
-    positive = tuple(u >= 0.0 for u in u_faces) if positive is None else positive
+    grid, u_faces, positive = flow.grid, flow.u_faces, flow.positive
     q_tilde = ws.next_frame(qn)
     upwind, diff = ws.scratch
     out = ws.flux
@@ -55,12 +54,11 @@ def ctu_fluxes(qn, u_faces, dt, grid, ws=None, positive=None):
     return out
 
 
-def low_order_update(qn, fluxes, dt, grid, ws=None):
+def low_order_update(qn, fluxes, dt, grid, ws):
     """``qn`` less the divergence of ``fluxes``, in ``ws.next_frame(qn)``.
 
     With the CTU fluxes this is the transported-diffused solution; with
     the combined RK4 fluxes, the unlimited high-order update.
     """
-    ws = Workspace(grid) if ws is None else ws
     return np.subtract(qn, flux_divergence(grid, fluxes, dt, *ws.scratch),
                        out=ws.next_frame(qn))

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from closed_forms import scheme_eigenvalue
+from limiter_patches import force_eta, skip_preconstraint
 from fvadvect.analysis import max_stable_sigma, stencil_eigenvalue
 from fvadvect.driver import integrate
 from fvadvect.fct import fct_advance
-from fvadvect.grid import Grid, flux_divergence
+from fvadvect.grid import Grid, Workspace, flux_divergence
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.problems import (
@@ -187,8 +188,12 @@ def test_criterion_05_slotted_cylinder():
 
 
 @pytest.mark.parametrize("velocity", ["constant", "rotation"])
-def test_criterion_06_degeneracy_oracles(velocity):
-    """Forcing the hybridization coefficient recovers each pure scheme."""
+def test_criterion_06_degeneracy_oracles(monkeypatch, velocity):
+    """Forcing the hybridization coefficient recovers each pure scheme.
+
+    eta is forced by patching ``fct.hybridize``, so the limited step runs
+    its own windowed path; eta = 1 also skips the pre-constraint.
+    """
     grid = Grid(2, 32)
     v = make_velocity(velocity, grid)
     uf = face_average_velocity(v, grid)
@@ -199,13 +204,18 @@ def test_criterion_06_degeneracy_oracles(velocity):
     dt = 0.8 * grid.h / max(1.0, np.pi)
 
     flow = face_flow(uf, grid, 4)
-    q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt, grid)
-    q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
-    high_gap = float(np.max(np.abs(q_one - q_high)))
-
-    q_td = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt, grid)
-    q_zero, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=0.0)
+    ws = Workspace(grid)
+    q_td = low_order_update(q, ctu_fluxes(q, flow, dt, ws), dt, grid, ws)
+    force_eta(monkeypatch, 0.0)
+    q_zero, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(grid))
     low_bitwise = np.array_equal(q_zero, q_td)
+
+    ws = Workspace(grid)
+    q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s, ws), dt, grid, ws)
+    force_eta(monkeypatch, 1.0)
+    skip_preconstraint(monkeypatch)
+    q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(grid))
+    high_gap = float(np.max(np.abs(q_one - q_high)))
 
     ok = high_gap <= 1e-13 and low_bitwise
     report(
@@ -275,8 +285,9 @@ def test_criterion_09_ctu_stability_advantage():
     q = vals
     ctu_ok = True
     prev = m0
+    flow, ws = face_flow(uf, grid, 2), Workspace(grid)
     for _ in range(100):
-        q = low_order_update(q, ctu_fluxes(q, uf, dt, grid), dt, grid)
+        q = low_order_update(q, ctu_fluxes(q, flow, dt, ws), dt, grid, ws)
         cur = float(np.abs(q).max())
         ctu_ok &= cur <= prev + 1e-12
         prev = cur

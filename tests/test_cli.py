@@ -129,6 +129,43 @@ class TestValidation:
         assert out == ""
         assert err == "error: samples must be at least 1\n"
 
+    @pytest.mark.parametrize("command", ["run", "converge", "analyze"])
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma(self, capsys, command, sigma):
+        # rejected before the stability probe and before any step
+        rest = {"run": ["--n", "16"], "converge": ["--n-list", "16,32"],
+                "analyze": ["--scheme", "u5"]}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([command, "--sigma", sigma, *rest])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: sigma must be positive and finite, got {sigma}\n"
+
+    @pytest.mark.parametrize("command", ["run", "converge"])
+    @pytest.mark.parametrize("t_final", ["nan", "inf", "-1"])
+    def test_bad_t_final(self, capsys, command, t_final):
+        sizes = ["--n", "16"] if command == "run" else ["--n-list", "16,32"]
+        code = main([command, *sizes, "--t-final", t_final])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: t_final must be non-negative and finite, got {float(t_final)}\n"
+
+    @pytest.mark.parametrize("extent", ["inf", "nan", "0", "-1"])
+    def test_bad_extent(self, capsys, extent):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--n", "16", "--extent", extent])
+        assert code == 1
+        assert "error: domain extent must be positive and finite" in capsys.readouterr().err
+
+    def test_dump_every_needs_a_prefix(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run", "--n", "16", "--t-final", "0.1", "--dump-every", "1"])
+        assert code == 1
+        assert "dump-every needs a dump-prefix" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_dump_every(self, tmp_path, capsys):
         code = main([
             "run", "--n", "16", "--t-final", "0.1", "--dump-every", "-1",

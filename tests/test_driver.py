@@ -31,3 +31,19 @@ class TestNonFiniteInitialCondition:
         result = integrate(q0, ConstantDiagonal(dim=2), g, "u5", 0.5, 0.1)
         assert result.steps > 0
         assert result.conservation_drift <= 1e-12
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("sigma", (np.nan, np.inf, 0.0, -1.0))
+    def test_sigma(self, monkeypatch, sigma):
+        monkeypatch.setattr(driver, "fct_advance", _no_step)
+        g = Grid(1, 16)
+        with pytest.raises(ValueError, match=f"sigma must be positive and finite, got {sigma}"):
+            integrate(np.zeros(g.shape), ConstantDiagonal(dim=1), g, "u5", sigma, 0.1)
+
+    @pytest.mark.parametrize("t_final", (np.nan, np.inf, -0.1))
+    def test_t_final(self, monkeypatch, t_final):
+        monkeypatch.setattr(driver, "fct_advance", _no_step)
+        g = Grid(1, 16)
+        with pytest.raises(ValueError, match=f"t_final must be non-negative and finite, got {t_final}"):
+            integrate(np.zeros(g.shape), ConstantDiagonal(dim=1), g, "u5", 0.5, t_final)

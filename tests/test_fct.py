@@ -15,7 +15,7 @@ from fvadvect.fct import (
     second_differences,
     smooth_extremum_flags,
 )
-from fvadvect.grid import Grid, conserved_sum
+from fvadvect.grid import Grid, Workspace, conserved_sum
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.problems import initial_condition, standard_problem
@@ -25,6 +25,7 @@ from fvadvect.velocity import (
     cell_average_velocity,
     face_average_velocity,
 )
+from limiter_patches import force_eta, skip_preconstraint
 
 
 def field_1d(values, n=None):
@@ -41,6 +42,20 @@ def square_setup(n=128, dim=1, scheme="u5"):
     spec = standard_problem("square", "constant", g)
     q = initial_condition(spec, g)
     return g, v, uf, uc, q, scheme_coefficients(scheme)
+
+
+def high_order_update(q, flow, dt, s):
+    ws = Workspace(flow.grid)
+    return low_order_update(q, rk4_high_order_step(q, flow, dt, s, ws), dt, flow.grid, ws)
+
+
+def ctu_update(q, flow, dt):
+    ws = Workspace(flow.grid)
+    return low_order_update(q, ctu_fluxes(q, flow, dt, ws), dt, flow.grid, ws)
+
+
+def max_abs(q):
+    return float(np.max(np.abs(q)))
 
 
 class TestAntidiffusive:
@@ -102,9 +117,10 @@ class TestPreconstrain:
     def test_matches_oracle_on_square_first_step(self):
         g, v, uf, uc, q, s = square_setup()
         dt = 0.8 * g.h
-        FH = rk4_high_order_step(q, face_flow(uf, g, 4), dt, s)
-        FL = ctu_fluxes(q, uf, dt, g)
-        q_td = low_order_update(q, FL, dt, g)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
+        FH = rk4_high_order_step(q, flow, dt, s, ws)
+        FL = ctu_fluxes(q, flow, dt, ws)
+        q_td = low_order_update(q, FL, dt, g, ws)
         A = antidiffusive(FH, FL)
         d2 = second_differences(q)
         got = preconstrain(A, q_td, d2, uf, dt, g.h)
@@ -128,9 +144,10 @@ class TestPreconstrain:
     def test_output_unchanged_or_zero(self):
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
-        FH = rk4_high_order_step(q, face_flow(uf, g, 4), dt, s)
-        FL = ctu_fluxes(q, uf, dt, g)
-        q_td = low_order_update(q, FL, dt, g)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
+        FH = rk4_high_order_step(q, flow, dt, s, ws)
+        FL = ctu_fluxes(q, flow, dt, ws)
+        q_td = low_order_update(q, FL, dt, g, ws)
         A = antidiffusive(FH, FL)
         out = preconstrain(A, q_td, second_differences(q), uf, dt, g.h)
         changed = out[0] != A[0]
@@ -140,7 +157,7 @@ class TestPreconstrain:
 class TestBounds:
     def test_constant_field(self):
         g, q = field_1d(np.full(16, 2.0))
-        q_max, q_min, _ = compute_bounds(q, q, (np.ones(16),), 0.8)
+        q_max, q_min = compute_bounds(q, q, (np.ones(16),), 0.8)
         assert np.all(q_max == 2.0)
         assert np.all(q_min == 2.0)
 
@@ -149,8 +166,8 @@ class TestBounds:
         vals[5] = 1.0
         g, q = field_1d(vals)
         # slow flow: sigma * |u| < 0.5 so the window radius is 1
-        q_max, q_min, s = compute_bounds(q, q, (np.full(16, 0.1),), 0.8)
-        assert np.all(s == 1)
+        q_max, q_min = compute_bounds(q, q, (np.full(16, 0.1),), 0.8)
+        assert np.all(bounds_stencil_size((np.full(16, 0.1),), 0.8) == 1)
         assert q_max[4] == 1.0
         assert q_max[5] == 1.0
         assert q_max[3] == 0.0
@@ -170,7 +187,7 @@ class TestBounds:
         g = Grid(1, 16)
         qn = vals_n
         qtd = vals_td
-        q_max, q_min, _ = compute_bounds(qn, qtd, (np.ones(16),), 0.8)
+        q_max, q_min = compute_bounds(qn, qtd, (np.ones(16),), 0.8)
         assert q_max[4] == 1.0          # from q_n
         assert q_min[8] == -1.0         # from q_td
 
@@ -180,7 +197,7 @@ class TestBounds:
         qn = rng.random((16, 16))
         qtd = rng.random((16, 16))
         u_cell = cell_average_velocity(ConstantDiagonal(dim=2), g)
-        q_max, q_min, _ = compute_bounds(qn, qtd, u_cell, 0.8)
+        q_max, q_min = compute_bounds(qn, qtd, u_cell, 0.8)
         assert np.all(qtd <= q_max)
         assert np.all(qtd >= q_min)
 
@@ -261,10 +278,10 @@ class TestExtremumBoundCorrection:
         vals = np.where(np.abs(k) <= 4, 1.0 - 0.04 * k**2, 1.0 - 0.04 * 16.0)
         g, q = field_1d(vals)
         d2 = second_differences(q)
-        q_max, q_min, _ = compute_bounds(q, q, (np.full(n, 0.1),), 0.8)
+        q_max, _ = compute_bounds(q, q, (np.full(n, 0.1),), 0.8)
         flags = np.zeros(n, dtype=bool)
         flags[16] = True
-        new_max, new_min = extremum_bound_correction(flags, q, d2, q_max, q_min)
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
         q_ext = 1.0 + 0.08 / 24.0
         assert new_max[16] == pytest.approx(1.0 + 2 * (q_ext - 1.0), rel=1e-12)
         assert new_max[16] == pytest.approx(1.00667, abs=5e-6)
@@ -273,33 +290,29 @@ class TestExtremumBoundCorrection:
         g, q = field_1d(np.zeros(32))
         d2 = second_differences(q)
         q_max = np.zeros(32)
-        q_min = np.zeros(32)
         flags = np.ones(32, dtype=bool)
-        new_max, new_min = extremum_bound_correction(flags, q, d2, q_max, q_min)
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
         assert np.array_equal(new_max, q_max)
-        assert np.array_equal(new_min, q_min)
 
     def test_unflagged_cells_bitwise_unchanged(self):
         rng = np.random.default_rng(7)
         g, q = field_1d(rng.random(32))
         d2 = second_differences(q)
-        q_max, q_min, _ = compute_bounds(q, q, (np.ones(32),), 0.8)
+        q_max, _ = compute_bounds(q, q, (np.ones(32),), 0.8)
         flags = np.zeros(32, dtype=bool)
         flags[10] = True
-        new_max, new_min = extremum_bound_correction(flags, q, d2, q_max, q_min)
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
         keep = ~flags
         assert np.array_equal(new_max[keep], q_max[keep])
-        assert np.array_equal(new_min[keep], q_min[keep])
 
     def test_never_tightens(self):
         rng = np.random.default_rng(8)
         g, q = field_1d(rng.random(64))
         d2 = second_differences(q)
-        q_max, q_min, _ = compute_bounds(q, q, (np.ones(64),), 0.8)
+        q_max, _ = compute_bounds(q, q, (np.ones(64),), 0.8)
         flags = np.ones(64, dtype=bool)
-        new_max, new_min = extremum_bound_correction(flags, q, d2, q_max, q_min)
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
         assert np.all(new_max >= q_max)
-        assert np.all(new_min <= q_min)
 
     def test_sign_inconsistent_curvature_no_growth(self):
         # alternating curvature (a short wave) earns no relaxation
@@ -307,9 +320,9 @@ class TestExtremumBoundCorrection:
         vals = 0.5 + 0.1 * np.cos(np.pi * np.arange(n))  # 2-cell wave
         g, q = field_1d(vals)
         d2 = second_differences(q)
-        q_max, q_min, _ = compute_bounds(q, q, (np.ones(n),), 0.8)
+        q_max, _ = compute_bounds(q, q, (np.ones(n),), 0.8)
         flags = np.ones(n, dtype=bool)
-        new_max, _ = extremum_bound_correction(flags, q, d2, q_max, q_min)
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
         assert np.array_equal(new_max, q_max)
 
 
@@ -317,14 +330,14 @@ class TestLaplacianFlags:
     def test_zero_field_no_flags(self):
         g, q = field_1d(np.zeros(32))
         d2 = second_differences(q)
-        assert not laplacian_flags(q, d2, g.h, q_td=q).any()
+        assert not laplacian_flags(d2, g.h, q).any()
 
     def test_smooth_extremum_not_flagged(self):
         g = Grid(1, 128)
         spec = standard_problem("cosine8", "constant", g, radius=15 / 128)
         q = initial_condition(spec, g)
         d2 = second_differences(q)
-        flags = laplacian_flags(q, d2, g.h, q_td=q)
+        flags = laplacian_flags(d2, g.h, q)
         peak = int(np.argmax(q))
         assert not flags[peak]
 
@@ -334,7 +347,7 @@ class TestLaplacianFlags:
         vals = 0.5 + 0.01 * np.cos(np.pi * np.arange(n) / 2)  # 4-cell wave
         g, q = field_1d(vals)
         d2 = second_differences(q)
-        flags = laplacian_flags(q, d2, g.h, q_td=q)
+        flags = laplacian_flags(d2, g.h, q)
         assert flags.any()
         # every flagged cell brackets a first-difference sign change
         dq = q - np.roll(q, 1)
@@ -403,7 +416,7 @@ class TestPQRAndHybridize:
 
 
 class TestFctAdvance:
-    def test_eta_one_matches_high_order(self):
+    def test_eta_one_matches_high_order(self, monkeypatch):
         rng = np.random.default_rng(9)
         g = Grid(2, 32)
         v = ConstantDiagonal(dim=2)
@@ -413,11 +426,13 @@ class TestFctAdvance:
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
         flow = face_flow(uf, g, 4)
-        q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt, g)
-        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=1.0, preconstraint=False)
+        q_high = high_order_update(q, flow, dt, s)
+        force_eta(monkeypatch, 1.0)
+        skip_preconstraint(monkeypatch)
+        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g))
         assert np.max(np.abs(q_forced - q_high)) <= 1e-13
 
-    def test_eta_zero_matches_ctu_bitwise(self):
+    def test_eta_zero_matches_ctu_bitwise(self, monkeypatch):
         rng = np.random.default_rng(10)
         g = Grid(2, 32)
         v = ConstantDiagonal(dim=2)
@@ -427,9 +442,33 @@ class TestFctAdvance:
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
         flow = face_flow(uf, g, 4)
-        q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt, g)
-        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, force_eta=0.0)
+        q_td = ctu_update(q, flow, dt)
+        force_eta(monkeypatch, 0.0)
+        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g))
         assert np.array_equal(q_forced, q_td)
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_degeneracy_on_a_window(self, monkeypatch, dim):
+        """eta forced to 0 and to 1 on a limiter window smaller than the grid."""
+        rng = np.random.default_rng(12)
+        g = Grid(dim, 64)
+        q = np.zeros(g.shape)
+        q[(slice(20, 30),) * dim] = rng.random((10,) * dim)
+        uf = (np.full(g.shape, 0.8),) * dim
+        flow, s, dt = face_flow(uf, g, 6), scheme_coefficients("u9"), 0.5 * g.h
+        windows = []
+        window = fct.limiter_window
+        monkeypatch.setattr(fct, "limiter_window",
+                            lambda *a: windows.append(window(*a)) or windows[-1])
+        force_eta(monkeypatch, 0.0)
+        q_zero, _ = fct_advance(q, flow, uf, dt, 0.4, s, Workspace(g))
+        assert np.array_equal(q_zero, ctu_update(q, flow, dt))
+        force_eta(monkeypatch, 1.0)
+        skip_preconstraint(monkeypatch)
+        q_one, _ = fct_advance(q, flow, uf, dt, 0.4, s, Workspace(g))
+        assert np.max(np.abs(q_one - high_order_update(q, flow, dt, s))) <= 1e-13
+        assert len(windows) == 2
+        assert all(n < g.n for w in windows for n in w.shape)
 
     def test_limiter_off_modes(self):
         rng = np.random.default_rng(11)
@@ -440,22 +479,16 @@ class TestFctAdvance:
         s = scheme_coefficients("u9")
         dt = 0.8 * g.h
         flow = face_flow(uf, g, 6)
-        q_off, etas = fct_advance(q, flow, uc, dt, 0.8, s, limiter="off")
+        q_off, etas = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="off")
         assert etas is None
-        q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s), dt, g)
-        assert np.array_equal(q_off, q_high)
-        q_low, etas = fct_advance(q, flow, uc, dt, 0.8, s, limiter="off-low")
+        assert np.array_equal(q_off, high_order_update(q, flow, dt, s))
+        q_low, etas = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="off-low")
         assert etas is None
-        q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt, g)
-        assert np.array_equal(q_low, q_td)
+        assert np.array_equal(q_low, ctu_update(q, flow, dt))
         with pytest.raises(ValueError):
-            fct_advance(q, flow, uc, dt, 0.8, s, limiter="sometimes")
+            fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="sometimes")
 
-    @pytest.mark.parametrize(
-        "bad",
-        [{"limiter": "sometimes"}, {"force_eta": 1.5}, {"force_eta": -0.25},
-         {"force_eta": float("nan")}],
-    )
+    @pytest.mark.parametrize("bad", [{"limiter": "sometimes"}])
     def test_bad_arguments_rejected_before_flux_work(self, monkeypatch, bad):
         def no_flux_work(*args, **kwargs):
             raise AssertionError("flux work started before the arguments were checked")
@@ -464,24 +497,24 @@ class TestFctAdvance:
         monkeypatch.setattr(fct, "ctu_fluxes", no_flux_work)
         g, v, uf, uc, q, s = square_setup(n=32)
         with pytest.raises(ValueError):
-            fct_advance(q, face_flow(uf, g, 4), uc, 0.8 * g.h, 0.8, s, **bad)
+            fct_advance(q, face_flow(uf, g, 4), uc, 0.8 * g.h, 0.8, s, Workspace(g), **bad)
 
     def test_eta_in_unit_interval(self):
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
-        flow = face_flow(uf, g, 4)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(5):
-            q, etas = fct_advance(q, flow, uc, dt, 0.8, s)
+            q, etas = fct_advance(q, flow, uc, dt, 0.8, s, ws)
             for eta in etas:
                 assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_conservation_each_step(self):
         g, v, uf, uc, q, s = square_setup(n=64, dim=2)
         dt = 0.8 * g.h
-        flow = face_flow(uf, g, 4)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
         before = conserved_sum(g, q)
         for _ in range(3):
-            q, _ = fct_advance(q, flow, uc, dt, 0.8, s)
+            q, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
             assert conserved_sum(g, q) == pytest.approx(before, rel=1e-13)
 
     def test_bounds_enforced_outside_corrections(self):
@@ -489,12 +522,12 @@ class TestFctAdvance:
         # the update stays inside the windowed bounds
         g, v, uf, uc, q, s = square_setup(n=64)
         dt = 0.8 * g.h
-        flow = face_flow(uf, g, 4)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(10):
-            q_td = low_order_update(q, ctu_fluxes(q, uf, dt, g), dt, g)
-            q_max, q_min, _ = compute_bounds(q, q_td, uc, 0.8)
+            q_td = ctu_update(q, flow, dt)
+            q_max, q_min = compute_bounds(q, q_td, uc, 0.8)
             flags = smooth_extremum_flags(q_td) & smooth_extremum_flags(q)
-            q_new, _ = fct_advance(q, flow, uc, dt, 0.8, s)
+            q_new, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
             plain = ~flags
             assert np.all(q_new[plain] <= q_max[plain] + 1e-12)
             assert np.all(q_new[plain] >= q_min[plain] - 1e-12)
@@ -503,8 +536,8 @@ class TestFctAdvance:
     def test_square_wave_stays_bounded(self):
         g, v, uf, uc, q, s = square_setup(n=128, scheme="u5")
         dt = 0.8 * g.h
-        flow = face_flow(uf, g, 4)
+        flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(40):  # quarter transit
-            q, _ = fct_advance(q, flow, uc, dt, 0.8, s)
+            q, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
         assert q.min() >= -1e-10
         assert q.max() <= 1.0 + 1e-10

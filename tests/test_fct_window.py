@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from fvadvect import fct
-from fvadvect.grid import Grid, flux_divergence
+from fvadvect.grid import Grid, Workspace, flux_divergence
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.schemes import face_flow, scheme_coefficients
+from limiter_patches import skip_preconstraint
 
 N = 64
 SCHEME = scheme_coefficients("u9")
@@ -105,22 +106,28 @@ def core_mask(A, dt, g, scale):
     return mask
 
 
-def masked_full_grid_step(qn, flow, u_cell, dt, sigma, preconstraint):
+def transported_diffused(qn, flow, dt):
+    ws = Workspace(flow.grid)
+    return low_order_update(qn, ctu_fluxes(qn, flow, dt, ws), dt, flow.grid, ws)
+
+
+def masked_full_grid_step(qn, flow, u_cell, dt, sigma):
     """The parent's whole-grid limited step with eta zeroed outside the core."""
     g, u_faces = flow.grid, flow.u_faces
-    F_high = rk4_high_order_step(qn, flow, dt, SCHEME)
-    F_low = ctu_fluxes(qn, u_faces, dt, g)
-    q_td = low_order_update(qn, F_low, dt, g)
+    ws = Workspace(g)
+    F_high = rk4_high_order_step(qn, flow, dt, SCHEME, ws)
+    F_low = ctu_fluxes(qn, flow, dt, ws)
+    q_td = low_order_update(qn, F_low, dt, g, ws)
     A = fct.antidiffusive(F_high, F_low)
     qi, ti = qn, q_td
-    core = core_mask(A, dt, g, float(np.max(np.abs(qi))))
+    scale = float(np.max(np.abs(qi)))
+    core = core_mask(A, dt, g, scale)
     d2q = fct.second_differences(qi)
-    if preconstraint:
-        A = fct.preconstrain(A, ti, d2q, u_faces, dt, g.h)
-    q_max, q_min, _ = fct.compute_bounds(qi, ti, u_cell, sigma)
+    A = fct.preconstrain(A, ti, d2q, u_faces, dt, g.h)
+    q_max, q_min = fct.compute_bounds(qi, ti, u_cell, sigma)
     flags = fct.smooth_extremum_flags(ti) & fct.smooth_extremum_flags(qi)
-    q_max, q_min = fct.extremum_bound_correction(flags, qi, d2q, q_max, q_min)
-    oscillating = flags & fct.laplacian_flags(qi, d2q, g.h, q_td=ti)
+    q_max = fct.extremum_bound_correction(flags, qi, d2q, q_max, scale)
+    oscillating = flags & fct.laplacian_flags(d2q, g.h, ti)
     R_in, R_out = fct.compute_pqr(A, ti, q_max, q_min, oscillating, dt, g.h)
     etas = tuple(np.where(core, eta, 0.0) for eta in fct.hybridize(A, R_in, R_out))
     for a, eta in zip(A, etas):
@@ -133,19 +140,20 @@ def assert_bitwise(got, want):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def run_both(dim, case, preconstraint=True):
+def run_both(dim, case):
     g, qn, flow, u_faces = setup(dim, case)
     dt = 0.4 * g.h
-    got, got_etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME,
-                                    preconstraint=preconstraint)
-    want, want_etas, core = masked_full_grid_step(qn, flow, u_faces, dt, 0.4, preconstraint)
+    got, got_etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME, Workspace(g))
+    want, want_etas, core = masked_full_grid_step(qn, flow, u_faces, dt, 0.4)
     return got, got_etas, want, want_etas, core
 
 
 @pytest.mark.parametrize("preconstraint", (True, False))
 @pytest.mark.parametrize("case, dim", CASES)
-def test_window_matches_masked_full_grid(case, dim, preconstraint):
-    got, got_etas, want, want_etas, core = run_both(dim, case, preconstraint)
+def test_window_matches_masked_full_grid(monkeypatch, case, dim, preconstraint):
+    if not preconstraint:
+        skip_preconstraint(monkeypatch)
+    got, got_etas, want, want_etas, core = run_both(dim, case)
     assert_bitwise(got, want)
     for e_got, e_want in zip(got_etas, want_etas):
         assert_bitwise(e_got, e_want)
@@ -160,8 +168,8 @@ def test_curvature_floor_takes_the_whole_grid_scale(monkeypatch):
     monkeypatch.setattr(fct, "extremum_bound_correction",
                         lambda *args: seen.append(args) or correction(*args))
     g, qn, flow, u_faces = setup(2, "inside")
-    fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME)
-    ((_, qn_window, _, _, _, scale),) = seen
+    fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME, Workspace(g))
+    ((_, qn_window, _, _, scale),) = seen
     assert qn_window.shape != g.shape
     assert scale == np.max(np.abs(qn)) > np.max(np.abs(qn_window))
 
@@ -175,10 +183,10 @@ def _fail(*args, **kwargs):
 def test_no_active_face_returns_transported_diffused(monkeypatch, dim, rough, case):
     g, qn, flow, u_faces = setup(dim, case, rough=rough)
     dt = 0.4 * g.h
-    q_td = low_order_update(qn, ctu_fluxes(qn, u_faces, dt, g), dt, g)
+    q_td = transported_diffused(qn, flow, dt)
     for name in PHASES:
         monkeypatch.setattr(fct, name, _fail)
-    q_new, etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME)
+    q_new, etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME, Workspace(g))
     assert_bitwise(q_new, q_td)
     for eta in etas:
         assert_bitwise(eta, np.zeros(g.shape))
@@ -209,7 +217,6 @@ def test_step_is_silent(dim, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for limiter in fct.LIMITER_MODES:
-            q_new, _ = fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME,
+            q_new, _ = fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME, Workspace(g),
                                        limiter=limiter)
             assert np.all(np.isfinite(q_new))
-        fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME, force_eta=0.5)

@@ -46,6 +46,12 @@ class TestGrid:
             Grid(1, 32, lo=1.0, hi=0.0)
         assert Grid(1, Grid.MIN_CELLS).n == 2 * 5 + 1
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0),
+                                        (0.0, np.nan), (0.5, 0.5), (-1e308, 1e308)])
+    def test_domain_must_be_finite(self, lo, hi):
+        with pytest.raises(ValueError, match="domain extent must be positive and finite"):
+            Grid(1, 16, lo=lo, hi=hi)
+
     def test_coordinates(self):
         g = Grid(2, 16, lo=0.0, hi=2.0)
         assert g.h == pytest.approx(0.125)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fvadvect import highorder
-from fvadvect.grid import Grid, conserved_sum, flux_divergence
+from fvadvect.grid import Grid, Workspace, conserved_sum, flux_divergence
 from fvadvect.highorder import rk4_high_order_step, spatial_flux
 from fvadvect.loworder import low_order_update
 from fvadvect.schemes import (
@@ -28,7 +28,14 @@ def sine_cell_averages(grid, k=1):
 
 def rk4_update(q, flow, dt, scheme):
     """The unlimited high-order step: q less the divergence of F_high."""
-    return low_order_update(q, rk4_high_order_step(q, flow, dt, scheme), dt, flow.grid)
+    ws = Workspace(flow.grid)
+    return low_order_update(q, rk4_high_order_step(q, flow, dt, scheme, ws), dt, flow.grid, ws)
+
+
+def face_fluxes(q, flow, scheme):
+    """``spatial_flux`` into the flux arrays of a fresh workspace."""
+    ws = Workspace(flow.grid)
+    return spatial_flux(q, flow, scheme, ws, ws.flux)
 
 
 def fft_rk4_oracle(q0, nsteps, sigma, scheme):
@@ -120,7 +127,7 @@ def rk4_stage_combination(qn, flow, dt, scheme):
     ks = []
     state = qn
     for stage in range(4):
-        F = spatial_flux(state, flow, scheme)
+        F = face_fluxes(state, flow, scheme)
         k = -flux_divergence(grid, F, dt)
         ks.append(k)
         if stage == 3:
@@ -164,7 +171,7 @@ class TestSpatialFlux:
         v = ConstantDiagonal(dim=2)
         uf = face_average_velocity(v, g)
         q = np.full((16, 16), 2.5)
-        fx, fy = spatial_flux(q, face_flow(uf, g, 4), scheme_coefficients("u5"))
+        fx, fy = face_fluxes(q, face_flow(uf, g, 4), scheme_coefficients("u5"))
         assert np.allclose(fx, 2.5, rtol=0, atol=1e-14)
         assert np.allclose(fy, 2.5, rtol=0, atol=1e-14)
 
@@ -172,7 +179,7 @@ class TestSpatialFlux:
         g = Grid(1, 16)
         uf = (np.zeros(16),)
         q = np.random.default_rng(0).random(16)
-        (f,) = spatial_flux(q, face_flow(uf, g, 6), scheme_coefficients("u9"))
+        (f,) = face_fluxes(q, face_flow(uf, g, 6), scheme_coefficients("u9"))
         assert np.all(f == 0.0)
 
     def test_sine_face_flux_fifth_order(self):
@@ -183,7 +190,7 @@ class TestSpatialFlux:
             g = Grid(1, n)
             q = sine_cell_averages(g)
             flow = face_flow((np.ones(n),), g, 4)
-            (f,) = spatial_flux(q, flow, scheme_coefficients("u5"))
+            (f,) = face_fluxes(q, flow, scheme_coefficients("u5"))
             exact = np.sin(2 * np.pi * g.face_coords(0))
             return np.max(np.abs(f - exact))
 
@@ -197,7 +204,7 @@ class TestRK4Step:
         uf = face_average_velocity(ConstantDiagonal(dim=2), g)
         q = np.full((16, 16), 1.25)
         flow, s = face_flow(uf, g, 4), scheme_coefficients("u5")
-        F_high = rk4_high_order_step(q, flow, 0.8 * g.h, s)
+        F_high = rk4_high_order_step(q, flow, 0.8 * g.h, s, Workspace(g))
         q_high = rk4_update(q, flow, 0.8 * g.h, s)
         assert np.array_equal(q_high, q)
         assert np.allclose(F_high[0], 1.25, rtol=0, atol=1e-14)
@@ -266,7 +273,7 @@ class TestRK4Step:
         uf = face_average_velocity(SolidBodyRotation(), g)
         q = rng.random((24, 24))
         flow = face_flow(uf, g, 6)
-        F_high = rk4_high_order_step(q, flow, 0.3 * g.h, scheme_coefficients("u9"))
+        F_high = rk4_high_order_step(q, flow, 0.3 * g.h, scheme_coefficients("u9"), Workspace(g))
         assert len(stages) == 4
         for d in range(2):
             F0, F1, F2, F3 = (F[d] for F in stages)

@@ -18,7 +18,10 @@ from fvadvect.velocity import (
     make_velocity,
     max_speed,
 )
+from limiter_patches import force_eta, skip_preconstraint
 
+# A limiter mode, or a limited step with eta forced to a value
+# (``force_eta``) or without the pre-constraint (``preconstraint``).
 MODES = (
     {"limiter": "on"},
     {"limiter": "off"},
@@ -58,10 +61,15 @@ def integrated_fields(g, v, q0, t_final, on_step=None, **kw):
 
 @pytest.mark.parametrize("kw", MODES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 @pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: f"{p[0]}d")
-def test_integrate_matches_fresh_buffers_every_step(problem, kw):
+def test_integrate_matches_fresh_buffers_every_step(monkeypatch, problem, kw):
     g, v, q0, t_final = setup(*problem)
-    got = integrated_fields(g, v, q0, t_final, **kw)
-    # the same steps, each fct_advance call building its own workspace
+    if "force_eta" in kw:
+        force_eta(monkeypatch, kw["force_eta"])
+    if "preconstraint" in kw:
+        skip_preconstraint(monkeypatch)
+    limiter = kw.get("limiter", "on")
+    got = integrated_fields(g, v, q0, t_final, limiter=limiter)
+    # the same steps, each fct_advance call given a fresh workspace
     s = scheme_coefficients(SCHEME)
     flow = face_flow(face_average_velocity(v, g), g, default_product_order(s))
     u_cell = cell_average_velocity(v, g)
@@ -71,7 +79,8 @@ def test_integrate_matches_fresh_buffers_every_step(problem, kw):
     assert len(got) == STEPS
     for step, field in enumerate(got, 1):
         step_dt = dt if step < STEPS else t_final - t
-        q, _ = fct_advance(q, flow, u_cell, step_dt, speed * step_dt / g.h, s, **kw)
+        q, _ = fct_advance(q, flow, u_cell, step_dt, speed * step_dt / g.h, s, Workspace(g),
+                           limiter)
         t += step_dt
         assert field.tobytes() == q.tobytes(), f"step {step}"
     assert not np.array_equal(got[0], q0)
@@ -85,13 +94,13 @@ def test_step_reads_qn_and_writes_the_other_frame():
     ws = Workspace(g)
     before = q0.copy()
     dt = 0.5 * g.h
-    q1, etas = fct_advance(q0, flow, u_cell, dt, 0.5, s, ws=ws)
+    q1, etas = fct_advance(q0, flow, u_cell, dt, 0.5, s, ws)
     assert q1 is ws.frames[0] and all(e is f for e, f in zip(etas, ws.flux))
     assert q0.tobytes() == before.tobytes()
     q1_bytes = q1.tobytes()
-    q2, _ = fct_advance(q1, flow, u_cell, dt, 0.5, s, ws=ws)
+    q2, _ = fct_advance(q1, flow, u_cell, dt, 0.5, s, ws)
     assert q2 is ws.frames[1] and q1.tobytes() == q1_bytes
-    assert fct_advance(q2, flow, u_cell, dt, 0.5, s, ws=ws)[0] is ws.frames[0]
+    assert fct_advance(q2, flow, u_cell, dt, 0.5, s, ws)[0] is ws.frames[0]
 
 
 def run_in_turns(runs, timeout=120.0):
