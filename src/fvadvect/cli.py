@@ -117,6 +117,8 @@ def _configure(args, command):
         raise ConfigError("dump-every must be non-negative")
     if command == "run" and args.dump_every and not args.dump_prefix:
         raise ConfigError("dump-every needs a dump-prefix to write to")
+    if command == "run" and args.dump_prefix and not args.dump_every:
+        raise ConfigError("dump-prefix needs a positive dump-every")
     if command == "run":
         args.n_list = [args.n]
     else:
@@ -124,6 +126,8 @@ def _configure(args, command):
             args.n_list = [int(tok) for tok in str(args.n_list).split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"bad n-list: {args.n_list!r}") from None
+        if not args.n_list:
+            raise ConfigError("n-list names no grid size")
     for n in args.n_list:
         check_cells(n)
     if args.dim is None:

@@ -9,6 +9,10 @@ from .grid import Workspace, conserved_sum
 from .schemes import default_product_order, face_flow, scheme_coefficients
 from .velocity import cell_average_velocity, face_average_velocity, max_speed
 
+# The most steps one run may take: about 60 h at 22 ms per limited
+# N = 256 step.  A run that would take more is rejected before any work.
+MAX_STEPS = 10**7
+
 
 class NumericsError(RuntimeError):
     """Raised when the solution stops being finite."""
@@ -57,10 +61,13 @@ def integrate(
     """Advance ``q0`` to ``t_final`` at the given CFL number.
 
     The step size is sigma * h / max_speed, with the last step shrunk to
-    land exactly on ``t_final`` (the effective CFL only decreases).  The
-    velocity-only part of the face fluxes (``schemes.face_flow``) is
-    computed once, before the first step, and so is the ``Workspace``
-    every step writes into; ``q0`` is only read.  When
+    land exactly on ``t_final`` (the effective CFL only decreases).  A run
+    of more than MAX_STEPS steps is rejected with a ``ValueError`` that
+    names sigma, t_final and h, before any work.  The velocity-only part
+    of the face fluxes (``schemes.face_flow``) is computed once, before
+    the first step, and so is the ``Workspace`` every step writes into;
+    the cell-averaged velocity, which only the limiter's bounds read, is
+    computed only with the limiter on.  ``q0`` is only read.  When
     ``collect_eta_stats`` is set, each step appends (min eta, mean eta,
     fraction of faces with eta < 1).  ``on_step`` is called as
     ``on_step(step_index, time, field)`` after every step; ``field`` is a
@@ -83,19 +90,24 @@ def integrate(
         cell = tuple(int(i) for i in non_finite[0])
         raise ValueError(f"initial condition is not finite at cell {cell}: {q0[cell]}")
 
-    flow = face_flow(face_average_velocity(velocity, grid), grid, order)
-    u_cell = cell_average_velocity(velocity, grid)
     speed = max_speed(velocity, grid)
     dt = sigma * grid.h / speed
+    if t_final > 0.0 and not t_final / MAX_STEPS <= dt:
+        raise ValueError(
+            f"t_final={t_final} at sigma={sigma} and h={grid.h} takes more than "
+            f"{MAX_STEPS} steps"
+        )
 
     conserved = conserved_sum(grid, q0)
-    result = RunResult(
-        field=q0.copy(), steps=0, dt=dt, conserved_initial=conserved, conserved_final=conserved
-    )
     if t_final == 0.0:
-        return result
+        return RunResult(field=q0.copy(), steps=0, dt=dt, conserved_initial=conserved,
+                         conserved_final=conserved)
 
+    flow = face_flow(face_average_velocity(velocity, grid), grid, order)
+    u_cell = cell_average_velocity(velocity, grid) if limiter == "on" else None
     ws = Workspace(grid)
+    result = RunResult(field=None, steps=0, dt=dt, conserved_initial=conserved,
+                       conserved_final=conserved)
     q = q0
 
     n_steps = max(1, int(np.ceil(t_final / dt - 1e-9)))

@@ -1,6 +1,7 @@
 """Flux-corrected transport hybridization of high- and low-order fluxes.
 
-One limited step runs, in order: high-order RK4 fluxes; CTU fluxes and the
+One limited step runs, in order: high-order RK4 fluxes (on a crop of the
+grid around the cells that are not negligible); CTU fluxes and the
 transported-diffused update; antidiffusive fluxes; pre-constraint; solution
 bounds with parabolic relaxation at smooth extrema; oscillating-extremum
 flags; the P/Q/R least-upper-bound machinery; per-face hybridization
@@ -22,13 +23,12 @@ while for face quantities seen from cell i, the left face is offset 0 and
 the right face offset +1.
 """
 
-import itertools
-
 import numpy as np
 
-from .grid import flux_divergence, neighbour_apply
-from .highorder import rk4_high_order_step
+from .grid import flux_divergence, neighbour_apply, periodic_window
+from .highorder import rk4_high_order_step, rk4_reach
 from .loworder import ctu_fluxes, low_order_update
+from .schemes import crop_flow
 
 EXTREMUM_GROWTH_FACTOR = 2.0
 TV_SAFETY_FACTOR = 1.25
@@ -39,10 +39,16 @@ CONSTANCY_TOL = 1e-14
 # hard windowed bounds step after step.
 CURVATURE_FLOOR_REL = 1e-6
 LIMITER_MODES = ("on", "off", "off-low")
-# Faces moving less than this fraction of max|qn| in a step (|A| dt/h) are
-# left out of the limiter and get eta = 0.  That is safe: any eta between 0
-# and the computed one keeps the update inside the bounds (Zalesak 1979).
+# The fraction of max|qn| below which a value does not matter.  Faces
+# moving less than this in a step (|A| dt/h) are left out of the limiter
+# and get eta = 0.  That is safe: any eta between 0 and the computed one
+# keeps the update inside the bounds (Zalesak 1979).  The high-order
+# fluxes are computed only on a crop around the cells holding more than
+# this (``high_order_crop``).
 ANTIDIFFUSION_TOL = 1e-14
+# The high-order crop's length is a multiple of this many cells, so that
+# its shapes, and the neighbour-read plans cached per shape, repeat.
+CROP_MULTIPLE = 16
 # Cells of halo around the active faces.  Face k, between cells k-1 and k,
 # takes R at those cells; R at cell i takes the preconstrained A at faces
 # i and i+1 along each axis, whose d2 at shifts -2..1 reads qn at i-3 and
@@ -393,75 +399,55 @@ def hybridize(A, R_in, R_out):
     return tuple(etas)
 
 
-class Window:
-    """The cells of a limiter window, one block per run of grid indices.
-
-    ``spans`` holds per axis the ``(grid slice, window slice)`` pairs that
-    make up the window along it: one for an axis taken whole or cut
-    without wrapping round, two for a cut that wraps.  ``core_spans``
-    holds the same for the core faces, the run of faces the limiter
-    decides.  Every block is read and written through basic slices.
-    """
-
-    def __init__(self, spans, core_spans, grid_shape):
-        self.shape = tuple(pairs[-1][1].stop for pairs in spans)
-        self.whole = self.shape == grid_shape
-        self.blocks = [tuple(zip(*block)) for block in itertools.product(*spans)]
-        self.core = [tuple(zip(*block)) for block in itertools.product(*core_spans)]
-
-    def __call__(self, a):
-        """The window of grid array ``a``: ``a`` itself for the whole grid, else a copy."""
-        if self.whole:
-            return a
-        out = np.empty(self.shape, a.dtype)
-        for in_grid, in_window in self.blocks:
-            out[in_window] = a[in_grid]
-        return out
-
-    def subtract(self, a, w):
-        """Subtract the window array ``w`` from the window of ``a``, in place."""
-        for in_grid, in_window in self.blocks:
-            a[in_grid] -= w[in_window]
-
-
 def limiter_window(A, dt, h, scale, scratch, active):
-    """The ``Window`` of the faces the limiter must see, or None.
+    """The ``periodic_window`` of the faces the limiter must see, or None.
 
-    A face is active where |A| dt/h > ANTIDIFFUSION_TOL * scale.  Per axis
-    the core is the shortest circular run of faces holding every active
-    one (the complement of the largest inactive gap); the window pads it
-    by LIMITER_REACH cells per side, or is the whole axis once that
-    reaches n, where the periodic wrap is exact.  ``scratch`` is a grid
-    array to work in and ``active`` one boolean grid array per axis,
-    which receive the active faces.
+    A face is active where |A| dt/h > ANTIDIFFUSION_TOL * scale.  The
+    window's core holds every active face, and it pads the core by
+    LIMITER_REACH cells per side.  ``scratch`` is a grid array to work in
+    and ``active`` one boolean grid array per axis, which receive the
+    active faces.
     """
     for a, mask in zip(A, active):
         np.abs(a, out=scratch)
         scratch *= dt / h
         np.greater(scratch, ANTIDIFFUSION_TOL * scale, out=mask)
-    shape, spans, core = A[0].shape, [], []
-    for ax, n in enumerate(shape):
-        others = tuple(x for x in range(len(shape)) if x != ax)
-        hits = np.flatnonzero(np.any([m.any(axis=others) for m in active], axis=0))
-        if hits.size == 0:
-            return None
-        gaps = np.diff(hits, append=hits[0] + n)
-        j = int(np.argmax(gaps))
-        start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
-        size = length + 2 * LIMITER_REACH
-        lo = (start - LIMITER_REACH) % n if size < n else 0
-        spans.append(_circular_run(lo, min(size, n), n, lo))
-        core.append(_circular_run(start, length, n, lo))
-    return Window(spans, core, shape)
+    return periodic_window(active, LIMITER_REACH)
 
 
-def _circular_run(start, length, n, lo):
-    """``(grid slice, window slice)`` pairs of the circular run of ``length``
-    grid indices from ``start``: one, or two where the run wraps round.
-    Grid index g sits at window index (g - lo) % n."""
-    first = min(length, n - start)
-    runs = [(start, first)] + ([(0, length - first)] if first < length else [])
-    return [(slice(a, a + m), slice((a - lo) % n, (a - lo) % n + m)) for a, m in runs]
+def high_order_crop(abs_q, scale, scheme, mask):
+    """The ``periodic_window`` the high-order fluxes are computed on, or None.
+
+    Its core holds every cell with |q| > ANTIDIFFUSION_TOL * scale (from
+    ``abs_q``, the grid array |q|, into the boolean ``mask``).  It pads
+    the core by the RK4 reach R (``rk4_reach``) plus one face per side:
+    a face more than R cells from every core cell gets a flux of the
+    negligible cells alone, and the crop's own periodic wrap reads only
+    padding cells, which are negligible too.  Its length is rounded up to
+    a multiple of CROP_MULTIPLE.
+    """
+    np.greater(abs_q, ANTIDIFFUSION_TOL * scale, out=mask)
+    return periodic_window((mask,), rk4_reach(scheme) + 1, CROP_MULTIPLE)
+
+
+def high_order_fluxes(qn, flow, dt, scheme, ws, crop):
+    """``rk4_high_order_step``'s fluxes, on the window ``crop`` of the grid.
+
+    The step runs on a copy of ``qn`` on the crop, with the crop's
+    ``FaceFlow`` and buffers carved from ``ws`` (``Workspace.crop``); the
+    fluxes are written into ``ws.flux_high``, 0 outside the crop.  With
+    no crop, a crop that is the whole grid or one whose buffers do not
+    fit, the step runs on the whole grid.
+    """
+    crop_ws = None if crop is None or crop.whole else ws.crop(qn, crop.shape)
+    if crop_ws is None:
+        return rk4_high_order_step(qn, flow, dt, scheme, ws)
+    q_crop = crop(qn, out=crop_ws.frames[0])
+    fluxes = rk4_high_order_step(q_crop, crop_flow(flow, crop), dt, scheme, crop_ws)
+    for F, f in zip(ws.flux_high, fluxes):
+        F.fill(0.0)
+        crop.paste(F, f)
+    return ws.flux_high
 
 
 def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
@@ -474,10 +460,13 @@ def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
     limiter="off"      pure unlimited high-order update
     limiter="off-low"  pure CTU update (diagnostic)
 
-    ``limiter`` is checked before any flux is computed.  With the limiter
-    on, the limiter phases run on ``limiter_window``'s window only; faces
-    outside its core get eta = 0, and with no active face the step returns
-    the transported-diffused state.
+    ``limiter`` is checked before any flux is computed.  In both modes
+    with high-order fluxes, those run on ``high_order_crop``'s crop only
+    (``high_order_fluxes``) and faces outside it get F_high = 0, which
+    changes the step only at the level of the negligible cells.
+    With the limiter on, the limiter phases run on ``limiter_window``'s
+    window only; faces outside its core get eta = 0, and with no active
+    face the step returns the transported-diffused state.
 
     Every whole-grid array of the step is a buffer of ``ws``, the run's
     ``Workspace``.  ``qn`` is only read; ``q_new`` is ``ws.next_frame(qn)``
@@ -493,7 +482,9 @@ def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
     if limiter == "off-low":
         F_low = ctu_fluxes(qn, flow, dt, ws)
         return low_order_update(qn, F_low, dt, grid, ws), None
-    F_high = rk4_high_order_step(qn, flow, dt, scheme, ws)
+    scale = float(np.max(np.abs(qn, out=ws.face)))
+    crop = high_order_crop(ws.face, scale, scheme, ws.active[0])
+    F_high = high_order_fluxes(qn, flow, dt, scheme, ws, crop)
     if limiter == "off":
         return low_order_update(qn, F_high, dt, grid, ws), None
 
@@ -504,7 +495,6 @@ def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
     etas = ws.flux
     for eta in etas:
         eta.fill(0.0)
-    scale = float(np.max(np.abs(qn, out=ws.face)))
     window = limiter_window(A, dt, h, scale, ws.face, ws.active)
     if window is None:
         return q_td, etas

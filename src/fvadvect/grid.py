@@ -21,6 +21,7 @@ axis 0, a block of columns along the last axis.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -108,19 +109,148 @@ class Workspace:
     returned etas).  ``face`` holds face values, ``scratch`` two arrays
     that no kernel keeps across calls, and ``active`` one boolean array
     per axis for the limiter's active faces.
+
+    The float buffers are consecutive blocks of one flat ``pool``, the
+    frames at its two ends, so the pool less the frame a step reads is
+    one run of memory: ``crop`` carves the buffers of a smaller grid
+    from it.
     """
 
     def __init__(self, grid):
-        self.frames = (np.empty(grid.shape), np.empty(grid.shape))
-        self.flux_high = tuple(np.empty(grid.shape) for _ in range(grid.dim))
-        self.flux = tuple(np.empty(grid.shape) for _ in range(grid.dim))
-        self.face = np.empty(grid.shape)
-        self.scratch = (np.empty(grid.shape), np.empty(grid.shape))
+        self.pool = np.empty(self.buffers(grid.dim) * grid.n ** grid.dim)
+        self._lay_out(self.pool, grid.shape)
         self.active = tuple(np.empty(grid.shape, bool) for _ in range(grid.dim))
+
+    @staticmethod
+    def buffers(dim):
+        """Float buffers of a workspace: two frames, two fluxes per axis,
+        ``face`` and two ``scratch``."""
+        return 5 + 2 * dim
+
+    def _lay_out(self, flat, shape, backwards=False):
+        """Take the buffers of ``shape`` from ``flat``, in the order frame,
+        ``flux_high``, ``flux``, ``face``, ``scratch``, frame: from its
+        start, or ``backwards`` from its end."""
+        size, dim = math.prod(shape), len(shape)
+        starts = (flat.size - (k + 1) * size if backwards else k * size
+                  for k in range(self.buffers(dim)))
+        views = [flat[a:a + size].reshape(shape) for a in starts]
+        self.frames = (views[0], views[-1])
+        self.flux_high = tuple(views[1:1 + dim])
+        self.flux = tuple(views[1 + dim:1 + 2 * dim])
+        self.face = views[1 + 2 * dim]
+        self.scratch = tuple(views[2 + 2 * dim:4 + 2 * dim])
 
     def next_frame(self, qn):
         """The frame a step from ``qn`` writes: whichever ``qn`` is not."""
         return self.frames[1] if qn is self.frames[0] else self.frames[0]
+
+    def crop(self, qn, shape):
+        """A workspace for a grid of ``shape`` inside this one's pool, or None
+        where its buffers do not fit.
+
+        Its buffers leave the frame ``qn`` alone (when ``qn`` is one) and
+        are laid out backwards from the far end of the rest of the pool,
+        so its ``flux_high`` never meets this workspace's (which follows
+        ``frames[0]``): a step can run on the crop and then write its
+        fluxes into ``self.flux_high``.  It has no ``pool`` or ``active``.
+        """
+        grid_size = self.frames[0].size
+        lo = grid_size if qn is self.frames[0] else 0
+        hi = self.pool.size - (grid_size if qn is self.frames[1] else 0)
+        if self.buffers(len(shape)) * math.prod(shape) > hi - lo:
+            return None
+        ws = object.__new__(Workspace)
+        ws._lay_out(self.pool[lo:hi], shape, backwards=True)
+        ws.pool, ws.active = None, None
+        return ws
+
+
+class Window:
+    """A periodic window of the grid: per axis one run of grid indices.
+
+    ``spans`` holds per axis the ``(grid slice, window slice)`` pairs that
+    make up the window along it: one for an axis taken whole or cut
+    without wrapping round, two for a cut that wraps.  ``core_spans``
+    holds the same for the core, the run of indices the window was built
+    around.  Every block is read and written through basic slices.
+    """
+
+    def __init__(self, spans, core_spans, grid_shape):
+        self.spans = spans
+        self.shape = tuple(pairs[-1][1].stop for pairs in spans)
+        self.whole = self.shape == grid_shape
+        self.blocks = [tuple(zip(*block)) for block in itertools.product(*spans)]
+        self.core = [tuple(zip(*block)) for block in itertools.product(*core_spans)]
+
+    def __call__(self, a, out=None):
+        """The window of grid array ``a``, C-contiguous: ``a`` itself for
+        the whole grid, else a copy, into ``out`` when given."""
+        if self.whole and out is None:
+            return a
+        out = np.empty(self.shape, a.dtype) if out is None else out
+        for in_grid, in_window in self.blocks:
+            out[in_window] = a[in_grid]
+        return out
+
+    def view(self, a):
+        """The window of ``a``, which may have length 1 along an axis (a
+        broadcast row, kept whole there): a basic-slice view where the
+        window is one block, else a copy of the blocks."""
+        def keep(index):
+            return tuple(sl if m > 1 else slice(None) for sl, m in zip(index, a.shape))
+
+        if len(self.blocks) == 1:
+            return a[keep(self.blocks[0][0])]
+        out = np.empty([w if m > 1 else 1 for w, m in zip(self.shape, a.shape)], a.dtype)
+        for in_grid, in_window in self.blocks:
+            out[keep(in_window)] = a[keep(in_grid)]
+        return out
+
+    def paste(self, a, w):
+        """Write the window array ``w`` into the window of ``a``."""
+        for in_grid, in_window in self.blocks:
+            a[in_grid] = w[in_window]
+
+    def subtract(self, a, w):
+        """Subtract the window array ``w`` from the window of ``a``, in place."""
+        for in_grid, in_window in self.blocks:
+            a[in_grid] -= w[in_window]
+
+
+def periodic_window(masks, reach, multiple=1):
+    """The ``Window`` around every True entry of the grid arrays ``masks``,
+    or None when there is none.
+
+    Per axis the core is the shortest circular run of indices holding
+    every True entry (the complement of the largest gap between them).
+    The window starts ``reach`` cells before it and is ``2 * reach`` cells
+    longer, rounded up to a ``multiple`` of cells; an axis whose window
+    reaches n is taken whole, where the periodic wrap is exact.
+    """
+    shape, spans, core = masks[0].shape, [], []
+    for ax, n in enumerate(shape):
+        others = tuple(x for x in range(len(shape)) if x != ax)
+        hits = np.flatnonzero(np.any([m.any(axis=others) for m in masks], axis=0))
+        if hits.size == 0:
+            return None
+        gaps = np.diff(hits, append=hits[0] + n)
+        j = int(np.argmax(gaps))
+        start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
+        size = -(-(length + 2 * reach) // multiple) * multiple
+        lo = (start - reach) % n if size < n else 0
+        spans.append(_circular_run(lo, min(size, n), n, lo))
+        core.append(_circular_run(start, length, n, lo))
+    return Window(spans, core, shape)
+
+
+def _circular_run(start, length, n, lo):
+    """``(grid slice, window slice)`` pairs of the circular run of ``length``
+    grid indices from ``start``: one, or two where the run wraps round.
+    Grid index g sits at window index (g - lo) % n."""
+    first = min(length, n - start)
+    runs = [(start, first)] + ([(0, length - first)] if first < length else [])
+    return [(slice(a, a + m), slice((a - lo) % n, (a - lo) % n + m)) for a, m in runs]
 
 
 def axis_index(axis, sl, ndim, rest=slice(None)):
@@ -128,7 +258,7 @@ def axis_index(axis, sl, ndim, rest=slice(None)):
     return tuple(sl if ax == axis else rest for ax in range(ndim))
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _plan(shape, d, mx, my):
     """The slices of one ``neighbour_apply``: ``(main, wraps)``.
 

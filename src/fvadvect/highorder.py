@@ -18,6 +18,17 @@ from .schemes import face_interpolate, product_rule_flux
 RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 
 
+def rk4_reach(scheme):
+    """Cells a combined face flux reads from ``qn``, along either side.
+
+    A face value reads cells up to max|offset| from one of the face's two
+    cells, and a stage state at a cell reads the faces on both sides of
+    it, so each of the four stages reaches max|offset| + 1 cells further
+    (the product rule's transverse reach, 2, is never more).
+    """
+    return len(RK4_WEIGHTS) * (max(map(abs, scheme.offsets)) + 1)
+
+
 def spatial_flux(q, flow, scheme, ws, out):
     """Per-dimension face fluxes of q*u for one solution state, written
     into the face arrays ``out``."""

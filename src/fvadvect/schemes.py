@@ -15,6 +15,7 @@ into a ``FaceFlow`` and reused by every stage of every step.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -202,6 +203,49 @@ def face_flow(u_faces, grid, order):
         positive,
         tuple(~plus if o is None else None for o, plus in zip(orientations, positive)),
     )
+
+
+def crop_flow(flow, window):
+    """The ``FaceFlow`` of a periodic window of the grid (``grid.Window``).
+
+    The face velocities, weights and ``negative`` masks are basic-slice
+    views where the window is one block and block copies where it wraps
+    round the grid; the orientation blocks are the grid's, intersected
+    with the window.  ``positive``, which only the CTU fluxes read, is
+    left out (None).
+    """
+    def crop_weights(w):
+        return ProductWeights(w.axis, *(None if a is None else window.view(a) for a in w[1:]))
+
+    return FaceFlow(
+        flow.grid,
+        tuple(map(window.view, flow.u_faces)),
+        tuple(None if blocks is None else _crop_orientations(blocks, window)
+              for blocks in flow.orientations),
+        tuple(tuple(map(crop_weights, ws)) for ws in flow.weights),
+        None,
+        tuple(None if m is None else window.view(m) for m in flow.negative),
+    )
+
+
+def _crop_orientations(blocks, window):
+    """Orientation blocks of the grid, intersected with a window's spans."""
+    out = []
+    for index, mirrored in blocks:
+        per_axis = []
+        for sl, pairs in zip(index, window.spans):
+            if sl == slice(None):
+                per_axis.append([sl])
+                continue
+            runs = []
+            for in_grid, in_window in pairs:
+                lo, hi = max(sl.start, in_grid.start), min(sl.stop, in_grid.stop)
+                if lo < hi:
+                    shift = in_window.start - in_grid.start
+                    runs.append(slice(lo + shift, hi + shift))
+            per_axis.append(runs)
+        out.extend(Orientation(ix, mirrored) for ix in itertools.product(*per_axis))
+    return tuple(out)
 
 
 def _stencil_sum(q, scheme, d, mirrored, out, term):

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fvadvect import driver
 from fvadvect.cli import main, read_config_file
 from fvadvect.grid import Grid
 from fvadvect.problems import initial_condition, standard_problem
@@ -166,6 +167,13 @@ class TestValidation:
         assert "dump-every needs a dump-prefix" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_dump_prefix_needs_dump_every(self, tmp_path, capsys):
+        prefix = str(tmp_path / "snap")
+        code = main(["run", "--n", "16", "--t-final", "0.1", "--dump-prefix", prefix])
+        assert code == 1
+        assert "dump-prefix needs a positive dump-every" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_dump_every(self, tmp_path, capsys):
         code = main([
             "run", "--n", "16", "--t-final", "0.1", "--dump-every", "-1",
@@ -309,6 +317,38 @@ class TestConverge:
     def test_bad_n_list(self, capsys):
         code = main(["converge", "--n-list", "32,abc"])
         assert code == 1
+
+    def test_empty_n_list(self, capsys):
+        code = main(["converge", "--n-list", ","])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: n-list names no grid size\n"
+
+
+def _no_step(*args, **kwargs):
+    raise AssertionError("a step ran")
+
+
+class TestStepCeiling:
+    """A run of more than ``driver.MAX_STEPS`` steps exits 1 before any step."""
+
+    def check(self, monkeypatch, capsys, option, value, named):
+        monkeypatch.setattr(driver, "fct_advance", _no_step)
+        code = main(["run", "--n", "16", option, value])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert f"more than {driver.MAX_STEPS} steps" in err and named in err
+        for name in ("sigma=", "t_final=", "h="):
+            assert name in err
+
+    def test_tiny_sigma(self, monkeypatch, capsys):
+        self.check(monkeypatch, capsys, "--sigma", "1e-300", "sigma=1e-300")
+
+    def test_huge_t_final(self, monkeypatch, capsys):
+        self.check(monkeypatch, capsys, "--t-final", "1e300", "t_final=1e+300")
+
+    def test_tiny_extent(self, monkeypatch, capsys):
+        self.check(monkeypatch, capsys, "--extent", "1e-300", "h=6.25e-302")
 
 
 class TestAnalyze:

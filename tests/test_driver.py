@@ -47,3 +47,35 @@ class TestBadNumbers:
         g = Grid(1, 16)
         with pytest.raises(ValueError, match=f"t_final must be non-negative and finite, got {t_final}"):
             integrate(np.zeros(g.shape), ConstantDiagonal(dim=1), g, "u5", 0.5, t_final)
+
+
+class TestStepCeiling:
+    def test_ceiling_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(driver, "MAX_STEPS", 8)
+        g = Grid(1, 16)
+        velocity = ConstantDiagonal(dim=1)
+        dt = 0.5 * g.h
+        assert integrate(np.zeros(g.shape), velocity, g, "u5", 0.5, 8 * dt).steps == 8
+        monkeypatch.setattr(driver, "fct_advance", _no_step)
+        with pytest.raises(ValueError, match="more than 8 steps"):
+            integrate(np.zeros(g.shape), velocity, g, "u5", 0.5, 9 * dt)
+
+    def test_underflowing_step_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(driver, "fct_advance", _no_step)
+        g = Grid(1, 16, hi=1e-300)
+        with pytest.raises(ValueError, match="sigma=1e-300 and h="):
+            integrate(np.zeros(g.shape), ConstantDiagonal(dim=1), g, "u5", 1e-300, 1.0)
+
+
+def _no_cell_velocity(*args, **kwargs):
+    raise AssertionError("cell_average_velocity was called")
+
+
+@pytest.mark.parametrize("limiter", ("off", "off-low"))
+def test_unlimited_runs_build_no_cell_velocity(monkeypatch, limiter):
+    """Only the limiter's bounds read the cell-averaged velocity."""
+    monkeypatch.setattr(driver, "cell_average_velocity", _no_cell_velocity)
+    g = Grid(2, 16)
+    result = integrate(np.ones(g.shape), ConstantDiagonal(dim=2), g, "u5", 0.5, 0.1,
+                       limiter=limiter)
+    assert result.steps > 0

@@ -4,13 +4,15 @@ velocity, and run-to-run determinism.
 Under a constant velocity every cell sees the same stencil weights, so
 shifting the initial field by whole cells must shift the solution by the
 same cells, bit for bit, whatever the scheme and limiter mode.  The
-limiter's window of active faces moves with the data; a localised patch
-shifted across the periodic edge makes that window wrap.
+limiter's window of active faces and the high-order crop move with the
+data; a localised patch shifted across the periodic edge makes both
+wrap.
 """
 
 import numpy as np
 import pytest
 
+from fvadvect import fct
 from fvadvect.driver import integrate
 from fvadvect.fct import LIMITER_MODES
 from fvadvect.grid import Grid
@@ -53,7 +55,9 @@ FIELDS = {"random": random_field, "patch": edge_patch}
 @pytest.mark.parametrize("limiter", LIMITER_MODES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("data", sorted(FIELDS))
-def test_whole_cell_translation(data, scheme, limiter, dim):
+def test_whole_cell_translation(monkeypatch, data, scheme, limiter, dim):
+    crops, build = [], fct.high_order_crop
+    monkeypatch.setattr(fct, "high_order_crop", lambda *a: crops.append(build(*a)) or crops[-1])
     grid = Grid(dim, SIZE[dim])
     q0 = FIELDS[data](grid, seed=SCHEMES.index(scheme) + 10 * dim)
     # the patch starts at cell 0, so its limiter window wraps round the
@@ -66,6 +70,9 @@ def test_whole_cell_translation(data, scheme, limiter, dim):
         axes = tuple(range(dim))
         moved = solve(np.roll(q0, shift, axis=axes), grid, scheme, limiter)
         assert moved.tobytes() == np.roll(base, shift, axis=axes).tobytes(), shift
+    # the high-order fluxes of the patch ran on a crop of the grid
+    if data == "patch" and limiter != "off-low":
+        assert any(not crop.whole for crop in crops)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

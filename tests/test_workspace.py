@@ -195,3 +195,23 @@ def test_steady_step_allocates_no_whole_grid_array(vel, limiter):
         tracemalloc.stop()
     assert len(growth) == 3
     assert max(growth) < grid_bytes, growth
+
+
+@pytest.mark.parametrize("reads", ("frame 0", "frame 1", "q0"))
+@pytest.mark.parametrize("dim, fits", ((1, 27), (2, 30)))
+def test_crop_buffers_leave_qn_and_flux_high_alone(dim, fits, reads):
+    """The largest crop that fits beside a frame shares no memory with
+    that frame, with the grid's ``flux_high`` or with itself; one cell
+    more per axis does not fit."""
+    g = Grid(dim, 32)
+    ws = Workspace(g)
+    qn = {"frame 0": ws.frames[0], "frame 1": ws.frames[1], "q0": np.zeros(g.shape)}[reads]
+    crop = ws.crop(qn, (fits,) * dim)
+    buffers = [*crop.frames, *crop.flux_high, *crop.flux, crop.face, *crop.scratch]
+    assert all(b.shape == (fits,) * dim and b.flags.c_contiguous for b in buffers)
+    for i, b in enumerate(buffers):
+        assert not np.shares_memory(b, qn)
+        assert not any(np.shares_memory(b, c) for c in buffers[i + 1:])
+    for f in crop.flux_high:
+        assert not any(np.shares_memory(f, F) for F in ws.flux_high)
+    assert (ws.crop(qn, (fits + 1,) * dim) is None) == (reads != "q0")
