@@ -113,14 +113,17 @@ def phase_dissipation_curve(scheme, sigma, samples=256):
     dissipation = 1 - |g| and phase error |1 - alpha| where
     alpha = -Im(g) / (Re(g) * sigma * beta).  beta = 0 is excluded (alpha
     is 0/0 there); samples where Re(g) vanishes report NaN phase error
-    instead of raising.
+    instead of raising.  A sigma so large that some |g| is not finite is
+    rejected with a ``ValueError`` that names it.
     """
     beta = np.linspace(0.0, np.pi, samples + 1)[1:]
-    z = sigma * stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
-    g = rk4_amplification(z)
-    dissipation = 1.0 - np.abs(g)
-    re = g.real
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
+        z = sigma * stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
+        g = rk4_amplification(z)
+        dissipation = 1.0 - np.abs(g)
+        if not np.all(np.isfinite(dissipation)):
+            raise ValueError(f"sigma={sigma} overflows the RK4 amplification of {scheme}")
+        re = g.real
         alpha = -g.imag / (re * sigma * beta)
     phase_error = np.where(re == 0.0, np.nan, np.abs(1.0 - alpha))
     return np.column_stack([beta, dissipation, phase_error])

@@ -6,27 +6,19 @@ are diffable and bit-reproducible.
 """
 
 import argparse
+import contextlib
+import itertools
 import sys
 import warnings
 
 import numpy as np
 
-from .analysis import (
-    STABILITY_TOL,
-    max_amplification,
-    phase_dissipation_curve,
-    phase_modes,
-    stability_table,
-)
+from .analysis import (STABILITY_TOL, max_amplification, phase_dissipation_curve, phase_modes,
+                       stability_table)
 from .driver import NumericsError, integrate
 from .fct import LIMITER_MODES
 from .grid import Grid, check_cells
-from .problems import (
-    IC_KINDS,
-    convergence_study,
-    initial_condition,
-    standard_problem,
-)
+from .problems import IC_KINDS, convergence_study, initial_condition, standard_problem
 from .schemes import SCHEME_NAMES, default_product_order, scheme_coefficients
 from .velocity import make_velocity
 
@@ -59,71 +51,78 @@ def read_config_file(path):
     return entries
 
 
-# Every option of ``run`` and ``converge``: its type in a config file and
-# its default in each command (None: unset).
+_BOTH = ("run", "converge")
+_ALL = ("run", "converge", "analyze")
+
+# Every option of every command: its type, its choices (None: any value),
+# its help, and its default in each command that takes it (None: unset).
+# A command missing from the defaults does not take the option, as a flag
+# or as a config-file key.
 _OPTIONS = {
-    "ic": (str, "square", "cosine8"),
-    "velocity": (str, "constant", "constant"),
-    "scheme": (str, "u9", "u5"),
-    "order": (int, None, None),
-    "sigma": (float, 0.8, 0.8),
-    "n": (int, 128, None),
-    "n_list": (str, None, "32,64,128,256"),
-    "t_final": (float, 1.0, 1.0),
-    "limiter": (str, "on", "on"),
-    "radius": (float, None, None),
-    "extent": (float, 1.0, None),
-    "out": (str, None, None),
-    "centerline": (str, None, None),
-    "eta_stats": (str, None, None),
-    "dump_every": (int, 0, None),
-    "dump_prefix": (str, None, None),
-    "dim": (int, None, None),
+    "ic": (str, IC_KINDS, None, {"run": "square", "converge": "cosine8"}),
+    "velocity": (str, ("constant", "rotation"), None, dict.fromkeys(_BOTH, "constant")),
+    "scheme": (str, SCHEME_NAMES, None, {"run": "u9", "converge": "u5", "analyze": None}),
+    "order": (int, (2, 4, 6), "product-rule order (default per scheme)", dict.fromkeys(_BOTH)),
+    "sigma": (float, None, "CFL number", dict.fromkeys(_ALL, 0.8)),
+    "n": (int, None, "cells per dimension", {"run": 128}),
+    "n_list": (str, None, "comma-separated cells per dimension", {"converge": "32,64,128,256"}),
+    "dim": (int, (1, 2), "default: 2 for rotation or slotted, else 1", dict.fromkeys(_BOTH)),
+    "t_final": (float, None, None, dict.fromkeys(_BOTH, 1.0)),
+    "limiter": (str, LIMITER_MODES, None, dict.fromkeys(_BOTH, "on")),
+    "radius": (float, None, "feature radius override", dict.fromkeys(_BOTH)),
+    "extent": (float, None, "domain edge length", {"run": 1.0}),
+    "samples": (int, None, "phase angles in (0, pi]", {"analyze": 256}),
+    "out": (str, None, "CSV output path", dict.fromkeys(_ALL)),
+    "centerline": (str, None, "centerline CSV path", {"run": None}),
+    "eta_stats": (str, None, "per-step limiter statistics CSV path", {"run": None}),
+    "dump_every": (int, None, "snapshot every K steps", {"run": 0}),
+    "dump_prefix": (str, None, "snapshot path prefix", {"run": None}),
 }
-_COMMANDS = ("run", "converge")
 
 
-def _configure(args, command):
-    """Config file, then defaults, then the checks both commands share.
+def _config_tokens(path, command):
+    """A config file's entries as ``--key=value`` flags of ``command``."""
+    tokens = []
+    for key, raw in read_config_file(path).items():
+        if key not in _OPTIONS or command not in _OPTIONS[key][3]:
+            raise ConfigError(f"config key {key} is not an option of {command}")
+        tokens.append(f"--{key.replace('_', '-')}={raw}")
+    return tokens
 
-    Flags take precedence over the config file.  Sets ``args.n_list`` to
-    the grid sizes to run: ``[n]`` for ``run``.
-    """
+
+def _parse(argv):
+    """Flags, with a config file's entries read as flags given before them:
+    the file passes the same type and choice checks, and a flag overrides it."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if getattr(args, "config", None):
-        for key, raw in read_config_file(args.config).items():
-            if key not in _OPTIONS:
-                raise ConfigError(f"unknown config key: {key}")
-            if getattr(args, key, None) is None:
-                try:
-                    setattr(args, key, _OPTIONS[key][0](raw))
-                except ValueError as exc:
-                    raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    column = 1 + _COMMANDS.index(command)
-    for key, spec in _OPTIONS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, spec[column])
-    if args.ic not in IC_KINDS:
-        raise ConfigError(f"unknown ic {args.ic!r}; expected one of {', '.join(IC_KINDS)}")
-    if args.velocity not in ("constant", "rotation"):
-        raise ConfigError(f"unknown velocity {args.velocity!r}")
-    if args.scheme not in SCHEME_NAMES:
-        raise ConfigError(f"unknown scheme {args.scheme!r}")
-    if args.limiter not in LIMITER_MODES:
-        raise ConfigError(f"unknown limiter mode {args.limiter!r}")
+        at = argv.index(args.command) + 1
+        tokens = _config_tokens(args.config, args.command)
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+    return args
+
+
+def _configure(args):
+    """The checks that tie options together.  Sets ``args.n_list`` to the
+    grid sizes to run (``[n]`` for ``run``) and ``args.dim`` when unset."""
     # checked before the stability probe, which reads sigma first
     if not 0.0 < args.sigma < np.inf:
         raise ConfigError(f"sigma must be positive and finite, got {args.sigma}")
-    if command == "run" and args.dump_every < 0:
-        raise ConfigError("dump-every must be non-negative")
-    if command == "run" and args.dump_every and not args.dump_prefix:
-        raise ConfigError("dump-every needs a dump-prefix to write to")
-    if command == "run" and args.dump_prefix and not args.dump_every:
-        raise ConfigError("dump-prefix needs a positive dump-every")
-    if command == "run":
+    if args.command == "analyze":
+        if args.samples < 1:
+            raise ConfigError("samples must be at least 1")
+        return
+    if args.command == "run":
+        if args.dump_every < 0:
+            raise ConfigError("dump-every must be non-negative")
+        if args.dump_every and not args.dump_prefix:
+            raise ConfigError("dump-every needs a dump-prefix to write to")
+        if args.dump_prefix and not args.dump_every:
+            raise ConfigError("dump-prefix needs a positive dump-every")
         args.n_list = [args.n]
     else:
         try:
-            args.n_list = [int(tok) for tok in str(args.n_list).split(",") if tok.strip()]
+            args.n_list = [int(tok) for tok in args.n_list.split(",") if tok.strip()]
         except ValueError:
             raise ConfigError(f"bad n-list: {args.n_list!r}") from None
         if not args.n_list:
@@ -132,40 +131,41 @@ def _configure(args, command):
         check_cells(n)
     if args.dim is None:
         args.dim = 2 if (args.velocity == "rotation" or args.ic == "slotted") else 1
-    if args.dim not in (1, 2):
-        raise ConfigError("dim must be 1 or 2")
 
 
-def _write_solution_csv(path, grid, q, metadata):
-    with open(path, "w") as fh:
-        for key, value in metadata:
-            fh.write(f"# {key}: {value}\n")
-        if grid.dim == 1:
-            fh.write("i,x,q\n")
-            x = grid.cell_centers(0)
-            for i in range(grid.n):
-                fh.write(f"{i},{_fmt(x[i])},{_fmt(q[i])}\n")
-        else:
-            fh.write("i,j,x,y,q\n")
-            x = grid.cell_centers(0)
-            y = grid.cell_centers(1)
-            for i in range(grid.n):
-                for j in range(grid.n):
-                    fh.write(f"{i},{j},{_fmt(x[i])},{_fmt(y[j])},{_fmt(q[i, j])}\n")
+def _cell(value):
+    return str(value) if isinstance(value, (int, str)) else FMT % value
 
 
-def _write_centerline_csv(path, grid, q):
-    """Row j = n/2 of a 2D field (the full profile in 1D)."""
-    with open(path, "w") as fh:
-        fh.write("i,x,q\n")
-        x = grid.cell_centers(0)
-        vals = q if grid.dim == 1 else q[:, grid.n // 2]
-        for i in range(grid.n):
-            fh.write(f"{i},{_fmt(x[i])},{_fmt(vals[i])}\n")
+def _write_csv(path, header, rows, comments=()):
+    """``# key: value`` lines, a header, then the rows (to stdout for no path).
+    Integers and strings are written as they are, other numbers as FMT."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        fh.writelines(f"# {key}: {value}\n" for key, value in comments)
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+
+
+def _write_table(args, header, rows):
+    """A table to ``--out`` when given, then to stdout."""
+    rows = list(rows)
+    if args.out:
+        _write_csv(args.out, header, rows)
+    _write_csv(None, header, rows)
+    return 0
+
+
+def _write_field(path, grid, q, comments):
+    x = grid.cell_centers(0)
+    if grid.dim == 1:
+        _write_csv(path, "i,x,q", zip(range(grid.n), x, q), comments)
+        return
+    y = grid.cell_centers(1)
+    cells = itertools.product(range(grid.n), repeat=2)
+    _write_csv(path, "i,j,x,y,q", ((i, j, x[i], y[j], q[i, j]) for i, j in cells), comments)
 
 
 def cmd_run(args):
-    _configure(args, "run")
     grid = Grid(args.dim, args.n, lo=0.0, hi=args.extent)
     velocity = make_velocity(args.velocity, grid)
     scheme = scheme_coefficients(args.scheme)
@@ -180,18 +180,16 @@ def cmd_run(args):
     spec = standard_problem(args.ic, args.velocity, grid, radius=args.radius)
     q0 = initial_condition(spec, grid)
 
-    if args.dump_every:
-        def on_step(step, t, q):
-            if step % args.dump_every == 0:
-                path = f"{args.dump_prefix}{step:06d}.csv"
-                _write_solution_csv(path, grid, q, [("t", _fmt(t)), ("step", step)])
-    else:
-        on_step = None
+    def on_step(step, t, q):
+        if step % args.dump_every == 0:
+            path = f"{args.dump_prefix}{step:06d}.csv"
+            _write_field(path, grid, q, [("t", _fmt(t)), ("step", step)])
 
     result = integrate(
         q0, velocity, grid, scheme, args.sigma, args.t_final,
         limiter=args.limiter, order=order,
-        collect_eta_stats=bool(args.eta_stats), on_step=on_step,
+        collect_eta_stats=bool(args.eta_stats),
+        on_step=on_step if args.dump_every else None,
     )
 
     metadata = [
@@ -207,128 +205,76 @@ def cmd_run(args):
         ("solution_max", _fmt(result.solution_max)),
     ]
     if args.out:
-        _write_solution_csv(args.out, grid, result.field, metadata)
+        _write_field(args.out, grid, result.field, metadata)
     if args.centerline:
-        _write_centerline_csv(args.centerline, grid, result.field)
+        # row j = n/2 of a 2D field (the full profile in 1D)
+        line = result.field if grid.dim == 1 else result.field[:, grid.n // 2]
+        _write_csv(args.centerline, "i,x,q", zip(range(grid.n), grid.cell_centers(0), line))
     if args.eta_stats:
-        with open(args.eta_stats, "w") as fh:
-            fh.write("step,eta_min,eta_mean,frac_below_one\n")
-            for k, (emin, emean, frac) in enumerate(result.eta_stats, 1):
-                fh.write(f"{k},{_fmt(emin)},{_fmt(emean)},{_fmt(frac)}\n")
+        stats = ((k, *s) for k, s in enumerate(result.eta_stats, 1))
+        _write_csv(args.eta_stats, "step,eta_min,eta_mean,frac_below_one", stats)
     for key, value in metadata:
         print(f"{key}: {value}")
     return 0
 
 
 def cmd_converge(args):
-    _configure(args, "converge")
     records = convergence_study(
         args.ic, args.velocity, args.scheme, args.sigma, args.n_list,
         limiter=args.limiter, dim=args.dim, t_final=args.t_final,
         radius=args.radius, order=args.order,
     )
-    lines = ["N,error,order"]
-    for rec in records:
-        order = "" if rec.order is None else _fmt(rec.order)
-        lines.append(f"{rec.n},{_fmt(rec.error)},{order}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    rows = ((rec.n, rec.error, "" if rec.order is None else rec.order) for rec in records)
+    return _write_table(args, "N,error,order", rows)
 
 
 def cmd_analyze(args):
-    if args.samples < 1:
-        raise ConfigError("samples must be at least 1")
     if args.stability:
-        rows = stability_table(dims=(1, 2))
-        lines = ["scheme,D,sigma_max"]
-        lines += [f"{name},{dim},{_fmt(val)}" for name, dim, val in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        if args.scheme is None:
-            raise ConfigError("analyze needs --scheme (or --stability)")
-        sigma = 0.8 if args.sigma is None else args.sigma
-        if not 0.0 < sigma < np.inf:
-            raise ConfigError(f"sigma must be positive and finite, got {sigma}")
-        table = phase_dissipation_curve(args.scheme, sigma, samples=args.samples)
-        lines = ["beta,dissipation,phase_error"]
-        lines += [f"{_fmt(b)},{_fmt(d)},{_fmt(p)}" for b, d, p in table]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+        return _write_table(args, "scheme,D,sigma_max", stability_table(dims=(1, 2)))
+    if args.scheme is None:
+        raise ConfigError("analyze needs --scheme (or --stability)")
+    table = phase_dissipation_curve(args.scheme, args.sigma, samples=args.samples)
+    return _write_table(args, "beta,dissipation,phase_error", table)
+
+
+_COMMANDS = {
+    "run": (cmd_run, "advect one initial condition and dump CSV"),
+    "converge": (cmd_converge, "grid refinement study"),
+    "analyze": (cmd_analyze, "stability limits and mode diagnostics"),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="fvadvect",
-        description="FCT-limited high-order finite-volume scalar advection",
-    )
+        prog="fvadvect", description="FCT-limited high-order finite-volume scalar advection")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="advect one initial condition and dump CSV")
-    run.add_argument("--config", help="key = value file; flags take precedence")
-    run.add_argument("--ic", choices=IC_KINDS)
-    run.add_argument("--velocity", choices=("constant", "rotation"))
-    run.add_argument("--scheme", choices=SCHEME_NAMES)
-    run.add_argument("--order", type=int, choices=(2, 4, 6),
-                     help="product-rule order (default per scheme)")
-    run.add_argument("--sigma", type=float)
-    run.add_argument("--n", type=int)
-    run.add_argument("--dim", type=int, choices=(1, 2))
-    run.add_argument("--t-final", dest="t_final", type=float)
-    run.add_argument("--limiter", choices=LIMITER_MODES)
-    run.add_argument("--radius", type=float, help="feature radius override")
-    run.add_argument("--extent", type=float, help="domain edge length")
-    run.add_argument("--out", help="solution CSV path")
-    run.add_argument("--centerline", help="centerline CSV path")
-    run.add_argument("--eta-stats", dest="eta_stats",
-                     help="per-step limiter statistics CSV path")
-    run.add_argument("--dump-every", dest="dump_every", type=int)
-    run.add_argument("--dump-prefix", dest="dump_prefix")
-    run.set_defaults(func=cmd_run)
-
-    conv = sub.add_parser("converge", help="grid refinement study")
-    conv.add_argument("--config", help="key = value file; flags take precedence")
-    conv.add_argument("--ic", choices=IC_KINDS)
-    conv.add_argument("--velocity", choices=("constant", "rotation"))
-    conv.add_argument("--scheme", choices=SCHEME_NAMES)
-    conv.add_argument("--order", type=int, choices=(2, 4, 6))
-    conv.add_argument("--sigma", type=float)
-    conv.add_argument("--n-list", dest="n_list")
-    conv.add_argument("--dim", type=int, choices=(1, 2))
-    conv.add_argument("--t-final", dest="t_final", type=float)
-    conv.add_argument("--limiter", choices=LIMITER_MODES)
-    conv.add_argument("--radius", type=float)
-    conv.add_argument("--out")
-    conv.set_defaults(func=cmd_converge)
-
-    ana = sub.add_parser("analyze", help="stability limits and mode diagnostics")
-    ana.add_argument("--scheme", choices=SCHEME_NAMES)
-    ana.add_argument("--sigma", type=float)
-    ana.add_argument("--samples", type=int, default=256)
-    ana.add_argument("--stability", action="store_true",
-                     help="emit the sigma_max table instead of curves")
-    ana.add_argument("--out")
-    ana.set_defaults(func=cmd_analyze)
+    for command, (func, about) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=about)
+        cmd.set_defaults(func=func)
+        if command in _BOTH:
+            cmd.add_argument("--config", help="key = value file; flags take precedence")
+        for key, (kind, choices, about, defaults) in _OPTIONS.items():
+            if command in defaults:
+                cmd.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices,
+                                 default=defaults[command], help=about)
+    sub.choices["analyze"].add_argument(
+        "--stability", action="store_true", help="emit the sigma_max table instead of curves")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
+        _configure(args)
+        return args.func(args)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

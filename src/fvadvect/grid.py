@@ -45,8 +45,10 @@ class Grid:
         if dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {dim}")
         check_cells(n)
-        if not 0.0 < hi - lo < math.inf:
-            raise ValueError(f"domain extent must be positive and finite, got [{lo}, {hi}]")
+        # a finite domain volume keeps h**dim, which scales the conserved sum, finite
+        if not 0.0 < math.prod((hi - lo,) * dim) < math.inf:
+            raise ValueError(f"domain extent must be positive and finite, and so must "
+                             f"its volume in {dim}D, got [{lo}, {hi}]")
         self.dim = dim
         self.n = int(n)
         self.lo = float(lo)
@@ -328,9 +330,12 @@ def conserved_sum(grid, q):
     """Total conserved content: sum of the cell averages times h^dim.
 
     Uses compensated summation so the diagnostic itself contributes no
-    meaningful roundoff.
+    meaningful roundoff.  The field is streamed to ``fsum`` one row at a
+    time, never as one whole-grid list; ``fsum`` is correctly rounded, so
+    the order of the terms does not change the result.
     """
-    return math.fsum(q.ravel().tolist()) * grid.h ** grid.dim
+    rows = map(np.ndarray.tolist, q.reshape(-1, q.shape[-1]))
+    return math.fsum(itertools.chain.from_iterable(rows)) * grid.h ** grid.dim
 
 
 def flux_divergence(grid, fluxes, dt, out=None, diff=None):

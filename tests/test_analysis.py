@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,3 +229,18 @@ class TestPhaseDissipationCurve:
         table = phase_dissipation_curve("c4", 0.5, samples=128)
         assert table.shape == (128, 3)
         assert np.all(np.isfinite(table[:, :2]))
+
+    @pytest.mark.parametrize("sigma", [1e300, 1e100])
+    def test_overflowing_sigma_rejected(self, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"sigma={sigma}")):
+                phase_dissipation_curve("u9", sigma, samples=8)
+
+    def test_zero_real_part_still_reports_nan(self, monkeypatch):
+        # |g| is finite where Re(g) = 0: the phase error there is NaN, as
+        # documented, and the curve is not rejected
+        monkeypatch.setattr(analysis, "rk4_amplification", lambda z: 1j * np.ones_like(z))
+        table = phase_dissipation_curve("u5", 0.8, samples=8)
+        assert np.all(np.isnan(table[:, 2]))
+        assert np.all(table[:, 1] == 0.0)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fvadvect import driver
+from fvadvect import analysis, driver
 from fvadvect.cli import main, read_config_file
 from fvadvect.grid import Grid
 from fvadvect.problems import initial_condition, standard_problem
@@ -76,6 +76,33 @@ class TestConfigFile:
     def test_missing_file(self, capsys):
         code = main(["run", "--config", "/nonexistent/run.cfg"])
         assert code == 1
+
+    @pytest.mark.parametrize("command, line", [
+        ("run", "n_list = 16"), ("converge", "eta_stats = x"), ("converge", "n = 64"),
+    ])
+    def test_key_the_command_does_not_take(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code = main([command, "--config", str(cfg), "--t-final", "0.0"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        key = line.split(" = ")[0]
+        assert err == f"error: config key {key} is not an option of {command}\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("order", "5"), ("dim", "3"), ("ic", "bogus"), ("limiter", "of"), ("n", "many"),
+    ])
+    def test_bad_value_same_error_as_the_flag(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        code = main(["run", "--config", str(cfg)])
+        from_file = capsys.readouterr()
+        flag_code = main(["run", f"--{key}", value])
+        from_flag = capsys.readouterr()
+        assert code == flag_code == 1
+        assert from_file.out == from_flag.out == ""
+        assert from_file.err.splitlines()[-1] == from_flag.err.splitlines()[-1]
+        assert f"argument --{key}: invalid" in from_file.err
 
 
 class TestValidation:
@@ -159,6 +186,12 @@ class TestValidation:
             code = main(["run", "--n", "16", "--extent", extent])
         assert code == 1
         assert "error: domain extent must be positive and finite" in capsys.readouterr().err
+
+    def test_extent_whose_2d_volume_overflows(self, capsys):
+        code = main(["run", "--n", "16", "--dim", "2", "--extent", "1e300", "--t-final", "0.05"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: domain extent must be positive and finite, and so must")
 
     def test_dump_every_needs_a_prefix(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -375,3 +408,33 @@ class TestAnalyze:
     def test_requires_scheme_or_stability(self, capsys):
         code = main(["analyze"])
         assert code == 1
+
+    def test_overflowing_sigma(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["analyze", "--scheme", "u9", "--sigma", "1e300"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: sigma=1e+300 ")
+
+
+class TestOutOfMemory:
+    """A MemoryError is an ``error:`` line and exit 1, not a traceback."""
+
+    @staticmethod
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 3.05 TiB for an array")
+
+    def check(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == "error: not enough memory: Unable to allocate 3.05 TiB for an array\n"
+
+    def test_run(self, monkeypatch, capsys):
+        monkeypatch.setattr(driver, "fct_advance", self.no_memory)
+        self.check(capsys, ["run", "--n", "16", "--t-final", "0.05"])
+
+    def test_analyze(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "rk4_amplification", self.no_memory)
+        self.check(capsys, ["analyze", "--scheme", "u5"])

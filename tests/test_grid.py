@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestGrid:
     def test_domain_must_be_finite(self, lo, hi):
         with pytest.raises(ValueError, match="domain extent must be positive and finite"):
             Grid(1, 16, lo=lo, hi=hi)
+
+    def test_volume_must_be_finite(self):
+        # 1e300 is a finite 1D extent, but its square overflows, and so
+        # would the conserved sum's cell volume h**2
+        assert Grid(1, 16, hi=1e300).h == 6.25e298
+        with pytest.raises(ValueError, match="its volume in 2D"):
+            Grid(2, 16, hi=1e300)
 
     def test_coordinates(self):
         g = Grid(2, 16, lo=0.0, hi=2.0)
@@ -176,6 +184,28 @@ class TestConservedSum:
         vals = rng.standard_normal((24, 24)) * 1e3
         oracle = kahan_sum(vals.ravel().tolist()) * g.h ** 2
         assert conserved_sum(g, vals) == pytest.approx(oracle, rel=1e-15)
+
+    @pytest.mark.parametrize("dim, n", [(1, 97), (2, 33)])
+    def test_equals_whole_list_sum_bitwise(self, dim, n):
+        # wide exponents make the order of a naive sum matter; fsum is
+        # correctly rounded, so the row-by-row stream gives the same bits
+        rng = np.random.default_rng(5)
+        shape = (n,) * dim
+        vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200, shape)
+        g = Grid(dim, n)
+        assert conserved_sum(g, vals) == math.fsum(vals.ravel().tolist()) * g.h ** dim
+
+    def test_streams_without_a_whole_grid_list(self):
+        # one Python float list of 256^2 cells takes about 2.1 MB
+        g = Grid(2, 256)
+        vals = np.random.default_rng(6).standard_normal((256, 256))
+        tracemalloc.start()
+        try:
+            conserved_sum(g, vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
 
 
 class TestFluxDivergence:
