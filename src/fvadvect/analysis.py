@@ -11,26 +11,18 @@ import numpy as np
 from .schemes import SCHEME_NAMES, scheme_coefficients
 
 
-def stencil_eigenvalue(scheme, betas, speeds=None, h=1.0):
-    """Eigenvalue from the stencil coefficients, summed over dimensions.
-
-    ``betas`` is one phase-angle array per dimension, ``speeds`` the
-    per-dimension velocities (positive orientation; defaults to ones).
+def stencil_eigenvalue(scheme, beta):
+    """Eigenvalue from the stencil coefficients at the phase angles
+    ``beta``, along one axis at unit speed and spacing (positive
+    orientation).  Multi-dimensional modes are sums of these
+    (``phase_modes``).
     """
-    betas = _as_tuple(betas)
-    if speeds is None:
-        speeds = (1.0,) * len(betas)
     if isinstance(scheme, str):
         scheme = scheme_coefficients(scheme)
-    total = 0.0 + 0.0j
-    for beta, u in zip(betas, speeds):
-        beta = np.asarray(beta, dtype=float)
-        phi = sum(
-            a * np.exp(1j * s * beta)
-            for s, a in zip(scheme.offsets, scheme.coefficients)
-        )
-        total = total + (-(u / h)) * phi * (1.0 - np.exp(-1j * beta))
-    return total
+    beta = np.asarray(beta, dtype=float)
+    phi = sum(a * np.exp(1j * s * beta) for s, a in zip(scheme.offsets, scheme.coefficients))
+    # adding a complex +0 makes every zero part +0.0, never -0.0
+    return 0.0 + 0.0j + -1.0 * phi * (1.0 - np.exp(-1j * beta))
 
 
 def rk4_amplification(z):
@@ -59,7 +51,7 @@ def phase_modes(scheme, dim=1, n_beta=1024):
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     beta = np.linspace(-np.pi, np.pi, n_beta)
-    mu = stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
+    mu = stencil_eigenvalue(scheme, beta)
     if dim == 1:
         return mu
     modes = np.empty(((n_beta + 1) // 2, n_beta + 1), dtype=mu.dtype)
@@ -118,7 +110,7 @@ def phase_dissipation_curve(scheme, sigma, samples=256):
     """
     beta = np.linspace(0.0, np.pi, samples + 1)[1:]
     with np.errstate(all="ignore"):
-        z = sigma * stencil_eigenvalue(scheme, (beta,), (1.0,), 1.0)
+        z = sigma * stencil_eigenvalue(scheme, beta)
         g = rk4_amplification(z)
         dissipation = 1.0 - np.abs(g)
         if not np.all(np.isfinite(dissipation)):
@@ -136,9 +128,3 @@ def stability_table(dims=(1, 2), n_beta=1024, tol=1e-4):
         for dim in dims:
             rows.append((name, dim, max_stable_sigma(name, dim, n_beta, tol)))
     return rows
-
-
-def _as_tuple(betas):
-    if isinstance(betas, (tuple, list)):
-        return tuple(betas)
-    return (betas,)

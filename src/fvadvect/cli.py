@@ -137,21 +137,26 @@ def _cell(value):
     return str(value) if isinstance(value, (int, str)) else FMT % value
 
 
-def _write_csv(path, header, rows, comments=()):
-    """``# key: value`` lines, a header, then the rows (to stdout for no path).
-    Integers and strings are written as they are, other numbers as FMT."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+def _write_csv(dest, header, rows, comments=()):
+    """``# key: value`` lines, a header, then the rows, to ``dest``: a path
+    or an open file.  Integers and strings are written as they are, other
+    numbers as FMT."""
+    with open(dest, "w") if isinstance(dest, str) else contextlib.nullcontext(dest) as fh:
         fh.writelines(f"# {key}: {value}\n" for key, value in comments)
         fh.write(header + "\n")
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
 
 
-def _write_table(args, header, rows):
-    """A table to ``--out`` when given, then to stdout."""
-    rows = list(rows)
-    if args.out:
-        _write_csv(args.out, header, rows)
-    _write_csv(None, header, rows)
+def _write_table(args, header, work):
+    """The rows ``work()`` returns, to ``--out`` when given, then to stdout.
+    ``--out`` is opened before the work, so a bad path fails at once, and
+    for appending, so work that fails leaves an existing file as it was."""
+    with open(args.out, "a") if args.out else contextlib.nullcontext() as fh:
+        rows = list(work())
+        if fh:
+            fh.truncate(0)
+            _write_csv(fh, header, rows)
+    _write_csv(sys.stdout, header, rows)
     return 0
 
 
@@ -170,8 +175,10 @@ def cmd_run(args):
     velocity = make_velocity(args.velocity, grid)
     scheme = scheme_coefficients(args.scheme)
     order = args.order if args.order is not None else default_product_order(scheme)
-    growth = max_amplification(phase_modes(scheme, grid.dim), args.sigma)
-    if growth > 1.0 + STABILITY_TOL:
+    # a sigma so large that |g| overflows is as unstable as any other
+    with np.errstate(all="ignore"):
+        growth = max_amplification(phase_modes(scheme, grid.dim), args.sigma)
+    if not growth <= 1.0 + STABILITY_TOL:
         warnings.warn(
             f"sigma={args.sigma} exceeds the stability bound for {args.scheme} "
             f"in {grid.dim}D (max |g| = {growth:.4f})",
@@ -219,22 +226,24 @@ def cmd_run(args):
 
 
 def cmd_converge(args):
-    records = convergence_study(
-        args.ic, args.velocity, args.scheme, args.sigma, args.n_list,
-        limiter=args.limiter, dim=args.dim, t_final=args.t_final,
-        radius=args.radius, order=args.order,
-    )
-    rows = ((rec.n, rec.error, "" if rec.order is None else rec.order) for rec in records)
+    def rows():
+        records = convergence_study(
+            args.ic, args.velocity, args.scheme, args.sigma, args.n_list,
+            limiter=args.limiter, dim=args.dim, t_final=args.t_final,
+            radius=args.radius, order=args.order,
+        )
+        return ((rec.n, rec.error, "" if rec.order is None else rec.order) for rec in records)
+
     return _write_table(args, "N,error,order", rows)
 
 
 def cmd_analyze(args):
     if args.stability:
-        return _write_table(args, "scheme,D,sigma_max", stability_table(dims=(1, 2)))
+        return _write_table(args, "scheme,D,sigma_max", lambda: stability_table(dims=(1, 2)))
     if args.scheme is None:
         raise ConfigError("analyze needs --scheme (or --stability)")
-    table = phase_dissipation_curve(args.scheme, args.sigma, samples=args.samples)
-    return _write_table(args, "beta,dissipation,phase_error", table)
+    return _write_table(args, "beta,dissipation,phase_error", lambda: phase_dissipation_curve(
+        args.scheme, args.sigma, samples=args.samples))
 
 
 _COMMANDS = {

@@ -7,7 +7,7 @@ import numpy as np
 from .fct import fct_advance
 from .grid import Workspace, conserved_sum
 from .schemes import default_product_order, face_flow, scheme_coefficients
-from .velocity import cell_average_velocity, face_average_velocity, max_speed
+from .velocity import face_average_velocity, max_speed
 
 # The most steps one run may take: about 60 h at 22 ms per limited
 # N = 256 step.  A run that would take more is rejected before any work.
@@ -64,11 +64,10 @@ def integrate(
     land exactly on ``t_final`` (the effective CFL only decreases).  A run
     of more than MAX_STEPS steps is rejected with a ``ValueError`` that
     names sigma, t_final and h, before any work.  The velocity-only part
-    of the face fluxes (``schemes.face_flow``) is computed once, before
-    the first step, and so is the ``Workspace`` every step writes into;
-    the cell-averaged velocity, which only the limiter's bounds read, is
-    computed only with the limiter on.  ``q0`` is only read.  When
-    ``collect_eta_stats`` is set, each step appends (min eta, mean eta,
+    of the face fluxes (``schemes.face_flow``), the only form of the
+    velocity a step reads, is computed once, before the first step, and
+    so is the ``Workspace`` every step writes into.  ``q0`` is only read.
+    When ``collect_eta_stats`` is set, each step appends (min eta, mean eta,
     fraction of faces with eta < 1).  ``on_step`` is called as
     ``on_step(step_index, time, field)`` after every step; ``field`` is a
     workspace frame, valid until the next step overwrites it, so a
@@ -104,7 +103,6 @@ def integrate(
                          conserved_final=conserved)
 
     flow = face_flow(face_average_velocity(velocity, grid), grid, order)
-    u_cell = cell_average_velocity(velocity, grid) if limiter == "on" else None
     ws = Workspace(grid)
     result = RunResult(field=None, steps=0, dt=dt, conserved_initial=conserved,
                        conserved_final=conserved)
@@ -115,7 +113,7 @@ def integrate(
     for step in range(1, n_steps + 1):
         step_dt = dt if step < n_steps else t_final - t
         step_sigma = speed * step_dt / grid.h
-        q, etas = fct_advance(q, flow, u_cell, step_dt, step_sigma, scheme, ws, limiter)
+        q, etas = fct_advance(q, flow, step_dt, step_sigma, scheme, ws, limiter)
         if not np.all(np.isfinite(q, out=ws.active[0])):
             raise NumericsError(step)
         if collect_eta_stats and etas is not None:

@@ -142,28 +142,34 @@ def _box_extremes(c, radius, reducer):
     return boxes
 
 
-def bounds_stencil_size(u_cell, sigma):
+def bounds_stencil_size(u_faces, sigma):
     """Per-cell window radius: 2 where sigma*max_d|u_d| >= 0.5, else 1.
+
+    ``u_faces`` are the face velocities, u_d read at the cell's left face
+    along d (for both supported fields, the cell's own velocity).
+    sigma*max_d|u_d| is the local Courant number only where the run's
+    maximum speed is 1: under rotation on the unit square (maximum speed
+    pi) radius 2 is taken where |u| dt/h >= 0.5/pi, about 0.16.
 
     Small windows near stagnation keep high CFL runs sharp; wide windows in
     fast regions keep low CFL runs from over-diffusing.
     """
-    speed = np.abs(u_cell[0])
-    for uc in u_cell[1:]:
-        speed = np.maximum(speed, np.abs(uc))
+    speed = np.abs(u_faces[0])
+    for u in u_faces[1:]:
+        speed = np.maximum(speed, np.abs(u))
     return np.where(sigma * speed >= 0.5, 2, 1)
 
 
-def compute_bounds(qn, q_td, u_cell, sigma):
+def compute_bounds(qn, q_td, u_faces, sigma):
     """Windowed bounds from both the old and transported-diffused states.
 
     Returns ``(q_max, q_min)`` over the [2s+1]^dim block around each
-    cell, s from ``bounds_stencil_size``, with q_n and q_td together as
-    the candidates.
+    cell, s from ``bounds_stencil_size`` of the face velocities
+    ``u_faces``, with q_n and q_td together as the candidates.
     """
     hi = np.maximum(qn, q_td)
     lo = np.minimum(qn, q_td)
-    wide = bounds_stencil_size(u_cell, sigma) == 2
+    wide = bounds_stencil_size(u_faces, sigma) == 2
     q_max, wide_max = _box_extremes(hi, 2, np.maximum)
     np.copyto(q_max, wide_max, where=wide)
     del wide_max
@@ -450,11 +456,12 @@ def high_order_fluxes(qn, flow, dt, scheme, ws, crop):
     return ws.flux_high
 
 
-def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
+def fct_advance(qn, flow, dt, sigma, scheme, ws, limiter="on"):
     """One full time step.  Returns ``(q_new, etas)``.
 
     ``flow`` is the run's ``FaceFlow`` (face velocities, upwind signs and
-    product-rule weights, see ``schemes.face_flow``).
+    product-rule weights, see ``schemes.face_flow``), the only velocity
+    the step reads.
 
     limiter="on"       hybridized update (the default method)
     limiter="off"      pure unlimited high-order update
@@ -477,8 +484,7 @@ def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
         raise ValueError(
             f"unknown limiter mode {limiter!r}; expected one of {', '.join(LIMITER_MODES)}"
         )
-    grid = flow.grid
-    u_faces, h = flow.u_faces, grid.h
+    grid, h = flow.grid, flow.grid.h
     if limiter == "off-low":
         F_low = ctu_fluxes(qn, flow, dt, ws)
         return low_order_update(qn, F_low, dt, grid, ws), None
@@ -499,9 +505,10 @@ def fct_advance(qn, flow, u_cell, dt, sigma, scheme, ws, limiter="on"):
     if window is None:
         return q_td, etas
     qn_w, td_w, A_w = window(qn), window(q_td), tuple(map(window, A))
+    u_w = tuple(map(window.view, flow.u_faces))
     d2q = second_differences(qn_w)
-    A_w = preconstrain(A_w, td_w, d2q, tuple(map(window, u_faces)), dt, h)
-    q_max, q_min = compute_bounds(qn_w, td_w, tuple(map(window, u_cell)), sigma)
+    A_w = preconstrain(A_w, td_w, d2q, u_w, dt, h)
+    q_max, q_min = compute_bounds(qn_w, td_w, u_w, sigma)
     flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
     q_max = extremum_bound_correction(flags, qn_w, d2q, q_max, scale)
     oscillating = flags & laplacian_flags(d2q, h, td_w)

@@ -15,7 +15,6 @@ into a ``FaceFlow`` and reused by every stage of every step.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -191,61 +190,44 @@ class FaceFlow:
     negative: tuple
 
 
+def _upwind_blocks(u_faces):
+    """Per axis the ``upwind_orientation`` blocks of the face velocities
+    and, only where there are none, the mask of faces with u < 0 (None
+    elsewhere)."""
+    orientations = tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces))
+    negative = tuple(u < 0.0 if o is None else None for o, u in zip(orientations, u_faces))
+    return orientations, negative
+
+
 def face_flow(u_faces, grid, order):
     """The ``FaceFlow`` of per-axis face velocities for a product-rule order."""
-    orientations = tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces))
-    positive = tuple(u >= 0.0 for u in u_faces)
+    orientations, negative = _upwind_blocks(u_faces)
     return FaceFlow(
         grid,
         tuple(u_faces),
         orientations,
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
-        positive,
-        tuple(~plus if o is None else None for o, plus in zip(orientations, positive)),
+        tuple(u >= 0.0 for u in u_faces),
+        negative,
     )
 
 
 def crop_flow(flow, window):
     """The ``FaceFlow`` of a periodic window of the grid (``grid.Window``).
 
-    The face velocities, weights and ``negative`` masks are basic-slice
-    views where the window is one block and block copies where it wraps
-    round the grid; the orientation blocks are the grid's, intersected
-    with the window.  ``positive``, which only the CTU fluxes read, is
-    left out (None).
+    The face velocities and weights are basic-slice views where the window
+    is one block and block copies where it wraps round the grid; the
+    orientation blocks and ``negative`` masks are built from the cropped
+    velocities, as ``face_flow`` builds the grid's.  ``positive``, which
+    only the CTU fluxes read, is left out (None).
     """
     def crop_weights(w):
         return ProductWeights(w.axis, *(None if a is None else window.view(a) for a in w[1:]))
 
-    return FaceFlow(
-        flow.grid,
-        tuple(map(window.view, flow.u_faces)),
-        tuple(None if blocks is None else _crop_orientations(blocks, window)
-              for blocks in flow.orientations),
-        tuple(tuple(map(crop_weights, ws)) for ws in flow.weights),
-        None,
-        tuple(None if m is None else window.view(m) for m in flow.negative),
-    )
-
-
-def _crop_orientations(blocks, window):
-    """Orientation blocks of the grid, intersected with a window's spans."""
-    out = []
-    for index, mirrored in blocks:
-        per_axis = []
-        for sl, pairs in zip(index, window.spans):
-            if sl == slice(None):
-                per_axis.append([sl])
-                continue
-            runs = []
-            for in_grid, in_window in pairs:
-                lo, hi = max(sl.start, in_grid.start), min(sl.stop, in_grid.stop)
-                if lo < hi:
-                    shift = in_window.start - in_grid.start
-                    runs.append(slice(lo + shift, hi + shift))
-            per_axis.append(runs)
-        out.extend(Orientation(ix, mirrored) for ix in itertools.product(*per_axis))
-    return tuple(out)
+    u_faces = tuple(map(window.view, flow.u_faces))
+    orientations, negative = _upwind_blocks(u_faces)
+    weights = tuple(tuple(map(crop_weights, ws)) for ws in flow.weights)
+    return FaceFlow(flow.grid, u_faces, orientations, weights, None, negative)
 
 
 def _stencil_sum(q, scheme, d, mirrored, out, term):

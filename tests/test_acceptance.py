@@ -27,7 +27,6 @@ from fvadvect.problems import (
 from fvadvect.schemes import SCHEME_NAMES, face_flow, scheme_coefficients
 from fvadvect.velocity import (
     ConstantDiagonal,
-    cell_average_velocity,
     face_average_velocity,
     make_velocity,
 )
@@ -197,7 +196,6 @@ def test_criterion_06_degeneracy_oracles(monkeypatch, velocity):
     grid = Grid(2, 32)
     v = make_velocity(velocity, grid)
     uf = face_average_velocity(v, grid)
-    uc = cell_average_velocity(v, grid)
     spec = standard_problem("cosine8", velocity, grid)
     q = initial_condition(spec, grid)
     s = scheme_coefficients("u5")
@@ -207,14 +205,14 @@ def test_criterion_06_degeneracy_oracles(monkeypatch, velocity):
     ws = Workspace(grid)
     q_td = low_order_update(q, ctu_fluxes(q, flow, dt, ws), dt, grid, ws)
     force_eta(monkeypatch, 0.0)
-    q_zero, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(grid))
+    q_zero, _ = fct_advance(q, flow, dt, 0.8, s, Workspace(grid))
     low_bitwise = np.array_equal(q_zero, q_td)
 
     ws = Workspace(grid)
     q_high = low_order_update(q, rk4_high_order_step(q, flow, dt, s, ws), dt, grid, ws)
     force_eta(monkeypatch, 1.0)
     skip_preconstraint(monkeypatch)
-    q_one, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(grid))
+    q_one, _ = fct_advance(q, flow, dt, 0.8, s, Workspace(grid))
     high_gap = float(np.max(np.abs(q_one - q_high)))
 
     ok = high_gap <= 1e-13 and low_bitwise

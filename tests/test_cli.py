@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from fvadvect import analysis, driver
+from fvadvect import analysis, cli, driver
 from fvadvect.cli import main, read_config_file
 from fvadvect.grid import Grid
 from fvadvect.problems import initial_condition, standard_problem
@@ -239,6 +239,18 @@ class TestValidation:
         assert code == 0
         assert any("stability bound" in str(w.message) for w in caught) == warns
 
+    def test_sigma_whose_growth_overflows_warns(self):
+        # |g| overflows to NaN at this sigma, which is as unstable as any
+        # other growth above the bound; the run's one step is shrunk to
+        # t_final, so it completes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--n", "16", "--dim", "2", "--sigma", "1e300",
+                         "--t-final", "0.05"])
+        assert code == 0
+        assert [w.category for w in caught] == [UserWarning]
+        assert "sigma=1e+300 exceeds the stability bound" in str(caught[0].message)
+
 
 class TestRun:
     def test_t_zero_equals_initial_condition(self, tmp_path):
@@ -330,6 +342,33 @@ class TestRun:
             "--t-final", "0.0", "--out", "/nonexistent/dir/sol.csv",
         ])
         assert code == 3
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("the work ran before --out was opened")
+
+
+@pytest.mark.parametrize("work, argv", [
+    ("convergence_study", ["converge", "--n-list", "32,64,128"]),
+    ("stability_table", ["analyze", "--stability"]),
+    ("phase_dissipation_curve", ["analyze", "--scheme", "u5"]),
+])
+def test_bad_out_path_exits_before_the_work(monkeypatch, capsys, work, argv):
+    monkeypatch.setattr(cli, work, _no_work)
+    code = main([*argv, "--out", "/nonexistent/dir/out.csv"])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("i/o error: ")
+
+
+def test_out_file_kept_on_failure_and_replaced_on_success(tmp_path, capsys):
+    out = tmp_path / "curves.csv"
+    out.write_text("kept\n" * 100)
+    code = main(["analyze", "--scheme", "u9", "--sigma", "1e300", "--out", str(out)])
+    assert code == 1 and out.read_text() == "kept\n" * 100
+    assert main(["analyze", "--scheme", "u9", "--samples", "4", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "beta,dissipation,phase_error" and len(lines) == 5
 
 
 class TestConverge:

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from fvadvect import driver
 from fvadvect.driver import integrate
+from fvadvect.fct import LIMITER_MODES
 from fvadvect.grid import Grid
 from fvadvect.velocity import ConstantDiagonal
 
@@ -71,11 +74,14 @@ def _no_cell_velocity(*args, **kwargs):
     raise AssertionError("cell_average_velocity was called")
 
 
-@pytest.mark.parametrize("limiter", ("off", "off-low"))
-def test_unlimited_runs_build_no_cell_velocity(monkeypatch, limiter):
-    """Only the limiter's bounds read the cell-averaged velocity."""
-    monkeypatch.setattr(driver, "cell_average_velocity", _no_cell_velocity)
+@pytest.mark.parametrize("limiter", LIMITER_MODES)
+def test_no_limiter_mode_builds_a_cell_velocity(monkeypatch, limiter):
+    """A run reads the velocity only through its ``FaceFlow``: no module of
+    the package that binds ``cell_average_velocity`` has it called."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "fvadvect" and hasattr(module, "cell_average_velocity"):
+            monkeypatch.setattr(module, "cell_average_velocity", _no_cell_velocity)
     g = Grid(2, 16)
-    result = integrate(np.ones(g.shape), ConstantDiagonal(dim=2), g, "u5", 0.5, 0.1,
-                       limiter=limiter)
+    q0 = np.random.default_rng(3).random(g.shape)  # the limiter has faces to limit
+    result = integrate(q0, ConstantDiagonal(dim=2), g, "u5", 0.5, 0.1, limiter=limiter)
     assert result.steps > 0

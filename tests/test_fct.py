@@ -22,7 +22,6 @@ from fvadvect.problems import initial_condition, standard_problem
 from fvadvect.schemes import face_flow, scheme_coefficients
 from fvadvect.velocity import (
     ConstantDiagonal,
-    cell_average_velocity,
     face_average_velocity,
 )
 from limiter_patches import force_eta, skip_preconstraint
@@ -38,10 +37,9 @@ def square_setup(n=128, dim=1, scheme="u5"):
     g = Grid(dim, n)
     v = ConstantDiagonal(dim=dim)
     uf = face_average_velocity(v, g)
-    uc = cell_average_velocity(v, g)
     spec = standard_problem("square", "constant", g)
     q = initial_condition(spec, g)
-    return g, v, uf, uc, q, scheme_coefficients(scheme)
+    return g, v, uf, q, scheme_coefficients(scheme)
 
 
 def high_order_update(q, flow, dt, s):
@@ -115,7 +113,7 @@ class TestPreconstrain:
         assert np.array_equal(out[0][inner], A[0][inner])
 
     def test_matches_oracle_on_square_first_step(self):
-        g, v, uf, uc, q, s = square_setup()
+        g, v, uf, q, s = square_setup()
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         FH = rk4_high_order_step(q, flow, dt, s, ws)
@@ -142,7 +140,7 @@ class TestPreconstrain:
         assert np.array_equal(got[0], oracle)
 
     def test_output_unchanged_or_zero(self):
-        g, v, uf, uc, q, s = square_setup(n=64)
+        g, v, uf, q, s = square_setup(n=64)
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         FH = rk4_high_order_step(q, flow, dt, s, ws)
@@ -196,8 +194,8 @@ class TestBounds:
         g = Grid(2, 16)
         qn = rng.random((16, 16))
         qtd = rng.random((16, 16))
-        u_cell = cell_average_velocity(ConstantDiagonal(dim=2), g)
-        q_max, q_min = compute_bounds(qn, qtd, u_cell, 0.8)
+        u_faces = face_average_velocity(ConstantDiagonal(dim=2), g)
+        q_max, q_min = compute_bounds(qn, qtd, u_faces, 0.8)
         assert np.all(qtd <= q_max)
         assert np.all(qtd >= q_min)
 
@@ -233,7 +231,7 @@ class TestSmoothExtremumFlags:
         assert not flags[peak + 8]
 
     def test_square_jump_not_flagged(self):
-        g, v, uf, uc, q, s = square_setup()
+        g, v, uf, q, s = square_setup()
         flags = smooth_extremum_flags(q)
         jump = int(np.argmax(np.abs(np.diff(q))))
         assert not flags[jump]
@@ -421,7 +419,6 @@ class TestFctAdvance:
         g = Grid(2, 32)
         v = ConstantDiagonal(dim=2)
         uf = face_average_velocity(v, g)
-        uc = cell_average_velocity(v, g)
         q = rng.random((32, 32))
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
@@ -429,7 +426,7 @@ class TestFctAdvance:
         q_high = high_order_update(q, flow, dt, s)
         force_eta(monkeypatch, 1.0)
         skip_preconstraint(monkeypatch)
-        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g))
+        q_forced, _ = fct_advance(q, flow, dt, 0.8, s, Workspace(g))
         assert np.max(np.abs(q_forced - q_high)) <= 1e-13
 
     def test_eta_zero_matches_ctu_bitwise(self, monkeypatch):
@@ -437,14 +434,13 @@ class TestFctAdvance:
         g = Grid(2, 32)
         v = ConstantDiagonal(dim=2)
         uf = face_average_velocity(v, g)
-        uc = cell_average_velocity(v, g)
         q = rng.random((32, 32))
         s = scheme_coefficients("u5")
         dt = 0.8 * g.h
         flow = face_flow(uf, g, 4)
         q_td = ctu_update(q, flow, dt)
         force_eta(monkeypatch, 0.0)
-        q_forced, _ = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g))
+        q_forced, _ = fct_advance(q, flow, dt, 0.8, s, Workspace(g))
         assert np.array_equal(q_forced, q_td)
 
     @pytest.mark.parametrize("dim", (1, 2))
@@ -461,11 +457,11 @@ class TestFctAdvance:
         monkeypatch.setattr(fct, "limiter_window",
                             lambda *a: windows.append(window(*a)) or windows[-1])
         force_eta(monkeypatch, 0.0)
-        q_zero, _ = fct_advance(q, flow, uf, dt, 0.4, s, Workspace(g))
+        q_zero, _ = fct_advance(q, flow, dt, 0.4, s, Workspace(g))
         assert np.array_equal(q_zero, ctu_update(q, flow, dt))
         force_eta(monkeypatch, 1.0)
         skip_preconstraint(monkeypatch)
-        q_one, _ = fct_advance(q, flow, uf, dt, 0.4, s, Workspace(g))
+        q_one, _ = fct_advance(q, flow, dt, 0.4, s, Workspace(g))
         assert np.max(np.abs(q_one - high_order_update(q, flow, dt, s))) <= 1e-13
         assert len(windows) == 2
         assert all(n < g.n for w in windows for n in w.shape)
@@ -474,19 +470,18 @@ class TestFctAdvance:
         rng = np.random.default_rng(11)
         g = Grid(1, 32)
         uf = (np.ones(32),)
-        uc = (np.ones(32),)
         q = rng.random(32)
         s = scheme_coefficients("u9")
         dt = 0.8 * g.h
         flow = face_flow(uf, g, 6)
-        q_off, etas = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="off")
+        q_off, etas = fct_advance(q, flow, dt, 0.8, s, Workspace(g), limiter="off")
         assert etas is None
         assert np.array_equal(q_off, high_order_update(q, flow, dt, s))
-        q_low, etas = fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="off-low")
+        q_low, etas = fct_advance(q, flow, dt, 0.8, s, Workspace(g), limiter="off-low")
         assert etas is None
         assert np.array_equal(q_low, ctu_update(q, flow, dt))
         with pytest.raises(ValueError):
-            fct_advance(q, flow, uc, dt, 0.8, s, Workspace(g), limiter="sometimes")
+            fct_advance(q, flow, dt, 0.8, s, Workspace(g), limiter="sometimes")
 
     @pytest.mark.parametrize("bad", [{"limiter": "sometimes"}])
     def test_bad_arguments_rejected_before_flux_work(self, monkeypatch, bad):
@@ -495,49 +490,49 @@ class TestFctAdvance:
 
         monkeypatch.setattr(fct, "rk4_high_order_step", no_flux_work)
         monkeypatch.setattr(fct, "ctu_fluxes", no_flux_work)
-        g, v, uf, uc, q, s = square_setup(n=32)
+        g, v, uf, q, s = square_setup(n=32)
         with pytest.raises(ValueError):
-            fct_advance(q, face_flow(uf, g, 4), uc, 0.8 * g.h, 0.8, s, Workspace(g), **bad)
+            fct_advance(q, face_flow(uf, g, 4), 0.8 * g.h, 0.8, s, Workspace(g), **bad)
 
     def test_eta_in_unit_interval(self):
-        g, v, uf, uc, q, s = square_setup(n=64)
+        g, v, uf, q, s = square_setup(n=64)
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(5):
-            q, etas = fct_advance(q, flow, uc, dt, 0.8, s, ws)
+            q, etas = fct_advance(q, flow, dt, 0.8, s, ws)
             for eta in etas:
                 assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_conservation_each_step(self):
-        g, v, uf, uc, q, s = square_setup(n=64, dim=2)
+        g, v, uf, q, s = square_setup(n=64, dim=2)
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         before = conserved_sum(g, q)
         for _ in range(3):
-            q, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
+            q, _ = fct_advance(q, flow, dt, 0.8, s, ws)
             assert conserved_sum(g, q) == pytest.approx(before, rel=1e-13)
 
     def test_bounds_enforced_outside_corrections(self):
         # at cells without relaxed bounds and without the oscillation flag,
         # the update stays inside the windowed bounds
-        g, v, uf, uc, q, s = square_setup(n=64)
+        g, v, uf, q, s = square_setup(n=64)
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(10):
             q_td = ctu_update(q, flow, dt)
-            q_max, q_min = compute_bounds(q, q_td, uc, 0.8)
+            q_max, q_min = compute_bounds(q, q_td, uf, 0.8)
             flags = smooth_extremum_flags(q_td) & smooth_extremum_flags(q)
-            q_new, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
+            q_new, _ = fct_advance(q, flow, dt, 0.8, s, ws)
             plain = ~flags
             assert np.all(q_new[plain] <= q_max[plain] + 1e-12)
             assert np.all(q_new[plain] >= q_min[plain] - 1e-12)
             q = q_new
 
     def test_square_wave_stays_bounded(self):
-        g, v, uf, uc, q, s = square_setup(n=128, scheme="u5")
+        g, v, uf, q, s = square_setup(n=128, scheme="u5")
         dt = 0.8 * g.h
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(40):  # quarter transit
-            q, _ = fct_advance(q, flow, uc, dt, 0.8, s, ws)
+            q, _ = fct_advance(q, flow, dt, 0.8, s, ws)
         assert q.min() >= -1e-10
         assert q.max() <= 1.0 + 1e-10

@@ -74,7 +74,7 @@ def setup(dim, case, rough=True):
     axis, box = BOXES[case] if case else (0, None)
     u = np.where(box_mask(g, box), 0.8, 0.0) if box else np.zeros(g.shape)
     u_faces = tuple(u if d == axis else np.zeros(g.shape) for d in range(dim))
-    return g, q, face_flow(u_faces, g, 6), u_faces
+    return g, q, face_flow(u_faces, g, 6)
 
 
 def shortest_covering_run(hits, n):
@@ -111,7 +111,7 @@ def transported_diffused(qn, flow, dt):
     return low_order_update(qn, ctu_fluxes(qn, flow, dt, ws), dt, flow.grid, ws)
 
 
-def masked_full_grid_step(qn, flow, u_cell, dt, sigma):
+def masked_full_grid_step(qn, flow, dt, sigma):
     """The parent's whole-grid limited step with eta zeroed outside the core."""
     g, u_faces = flow.grid, flow.u_faces
     ws = Workspace(g)
@@ -124,7 +124,7 @@ def masked_full_grid_step(qn, flow, u_cell, dt, sigma):
     core = core_mask(A, dt, g, scale)
     d2q = fct.second_differences(qi)
     A = fct.preconstrain(A, ti, d2q, u_faces, dt, g.h)
-    q_max, q_min = fct.compute_bounds(qi, ti, u_cell, sigma)
+    q_max, q_min = fct.compute_bounds(qi, ti, u_faces, sigma)
     flags = fct.smooth_extremum_flags(ti) & fct.smooth_extremum_flags(qi)
     q_max = fct.extremum_bound_correction(flags, qi, d2q, q_max, scale)
     oscillating = flags & fct.laplacian_flags(d2q, g.h, ti)
@@ -141,10 +141,10 @@ def assert_bitwise(got, want):
 
 
 def run_both(dim, case):
-    g, qn, flow, u_faces = setup(dim, case)
+    g, qn, flow = setup(dim, case)
     dt = 0.4 * g.h
-    got, got_etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME, Workspace(g))
-    want, want_etas, core = masked_full_grid_step(qn, flow, u_faces, dt, 0.4)
+    got, got_etas = fct.fct_advance(qn, flow, dt, 0.4, SCHEME, Workspace(g))
+    want, want_etas, core = masked_full_grid_step(qn, flow, dt, 0.4)
     return got, got_etas, want, want_etas, core
 
 
@@ -167,8 +167,8 @@ def test_curvature_floor_takes_the_whole_grid_scale(monkeypatch):
     correction = fct.extremum_bound_correction
     monkeypatch.setattr(fct, "extremum_bound_correction",
                         lambda *args: seen.append(args) or correction(*args))
-    g, qn, flow, u_faces = setup(2, "inside")
-    fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME, Workspace(g))
+    g, qn, flow = setup(2, "inside")
+    fct.fct_advance(qn, flow, 0.4 * g.h, 0.4, SCHEME, Workspace(g))
     ((_, qn_window, _, _, scale),) = seen
     assert qn_window.shape != g.shape
     assert scale == np.max(np.abs(qn)) > np.max(np.abs(qn_window))
@@ -181,12 +181,12 @@ def _fail(*args, **kwargs):
 @pytest.mark.parametrize("dim", (1, 2))
 @pytest.mark.parametrize("rough, case", ((True, None), (False, "inside")))
 def test_no_active_face_returns_transported_diffused(monkeypatch, dim, rough, case):
-    g, qn, flow, u_faces = setup(dim, case, rough=rough)
+    g, qn, flow = setup(dim, case, rough=rough)
     dt = 0.4 * g.h
     q_td = transported_diffused(qn, flow, dt)
     for name in PHASES:
         monkeypatch.setattr(fct, name, _fail)
-    q_new, etas = fct.fct_advance(qn, flow, u_faces, dt, 0.4, SCHEME, Workspace(g))
+    q_new, etas = fct.fct_advance(qn, flow, dt, 0.4, SCHEME, Workspace(g))
     assert_bitwise(q_new, q_td)
     for eta in etas:
         assert_bitwise(eta, np.zeros(g.shape))
@@ -217,6 +217,6 @@ def test_step_is_silent(dim, kind):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for limiter in fct.LIMITER_MODES:
-            q_new, _ = fct.fct_advance(qn, flow, u_faces, 0.4 * g.h, 0.4, SCHEME, Workspace(g),
+            q_new, _ = fct.fct_advance(qn, flow, 0.4 * g.h, 0.4, SCHEME, Workspace(g),
                                        limiter=limiter)
             assert np.all(np.isfinite(q_new))

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from fvadvect import fct, grid
-from fvadvect.grid import Grid, Workspace
+from fvadvect.grid import Grid, Workspace, periodic_window
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import low_order_update
 from fvadvect.problems import initial_condition, standard_problem
-from fvadvect.schemes import default_product_order, face_flow, scheme_coefficients
+from fvadvect.schemes import crop_flow, default_product_order, face_flow, scheme_coefficients
 from fvadvect.velocity import ConstantDiagonal, SolidBodyRotation, face_average_velocity
 
 N = 96
@@ -77,16 +77,16 @@ def setup(dim, scheme, velocity, data):
     return g, s, flow, u_faces, q0, dt
 
 
-def cropped_run(g, s, flow, u_cell, q0, dt, limiter):
+def cropped_run(g, s, flow, q0, dt, limiter):
     """Copies of each step's field, with the crop each step took."""
     ws, q, fields = Workspace(g), q0, []
     for _ in range(STEPS):
-        q, _ = fct.fct_advance(q, flow, u_cell, dt, SIGMA[g.dim], s, ws, limiter)
+        q, _ = fct.fct_advance(q, flow, dt, SIGMA[g.dim], s, ws, limiter)
         fields.append(q.copy())
     return fields
 
 
-def whole_grid_run(monkeypatch, g, s, flow, u_cell, q0, dt, limiter):
+def whole_grid_run(monkeypatch, g, s, flow, q0, dt, limiter):
     """The same steps with the high-order fluxes on the whole grid."""
     ws, q, fields = Workspace(g), q0, []
     with monkeypatch.context() as m:
@@ -95,7 +95,7 @@ def whole_grid_run(monkeypatch, g, s, flow, u_cell, q0, dt, limiter):
             if limiter == "off":
                 q = low_order_update(q, rk4_high_order_step(q, flow, dt, s, ws), dt, g, ws)
             else:
-                q, _ = fct.fct_advance(q, flow, u_cell, dt, SIGMA[g.dim], s, ws, limiter)
+                q, _ = fct.fct_advance(q, flow, dt, SIGMA[g.dim], s, ws, limiter)
             fields.append(q.copy())
     return fields
 
@@ -110,9 +110,9 @@ def record_crops(monkeypatch):
 def gaps(monkeypatch, dim, scheme, limiter, velocity, data):
     """Per step max|cropped - whole| / max|q0|, and the crops taken."""
     g, s, flow, u_faces, q0, dt = setup(dim, scheme, velocity, data)
-    want = whole_grid_run(monkeypatch, g, s, flow, u_faces, q0, dt, limiter)
+    want = whole_grid_run(monkeypatch, g, s, flow, q0, dt, limiter)
     crops = record_crops(monkeypatch)
-    got = cropped_run(g, s, flow, u_faces, q0, dt, limiter)
+    got = cropped_run(g, s, flow, q0, dt, limiter)
     scale = float(np.max(np.abs(q0)))
     return [float(np.max(np.abs(a - b))) / scale for a, b in zip(got, want)], got, want, crops
 
@@ -181,7 +181,58 @@ def test_same_crop_shape_adds_no_plan_miss(monkeypatch):
     ws = Workspace(g)
     misses = []
     for _ in range(3):
-        q, _ = fct.fct_advance(q, flow, None, dt, SIGMA[2], s, ws, "off")
+        q, _ = fct.fct_advance(q, flow, dt, SIGMA[2], s, ws, "off")
         misses.append(grid._plan.cache_info().misses)
     assert not crops[1].whole and crops[2].shape == crops[1].shape
     assert misses[2] == misses[1]
+
+
+def mirrored_faces(flow, d):
+    """Per face normal to ``d``, whether ``flow`` builds its stencil
+    mirrored; every face lies in exactly one orientation block."""
+    blocks = flow.orientations[d]
+    if blocks is None:
+        return flow.negative[d]
+    covered = np.zeros(flow.u_faces[d].shape, int)
+    mirrored = np.zeros(flow.u_faces[d].shape, bool)
+    for index, flip in blocks:
+        covered[index] += 1
+        mirrored[index] = flip
+    assert np.all(covered == 1)
+    return mirrored
+
+
+# per axis the cells a crop is built around: a run inside the grid, or
+# one across its periodic edge (the crop then wraps on that axis)
+INSIDE, ACROSS = slice(40, 50), np.arange(-5, 5)
+CROP_WINDOWS = {1: {"cut": (INSIDE,), "wrap-0": (ACROSS,), "whole": None},
+                2: {"cut": (INSIDE, INSIDE), "wrap-0": (ACROSS, INSIDE),
+                    "wrap-1": (INSIDE, ACROSS), "whole": None}}
+
+
+@pytest.mark.parametrize("dim, window, velocity", [
+    (dim, window, velocity) for dim in (1, 2) for window in CROP_WINDOWS[dim]
+    for velocity in ("positive", *VELOCITIES[dim])])
+def test_crop_takes_the_grid_orientation(dim, window, velocity):
+    """The crop's faces take the grid's orientation, mirrored exactly where
+    u < 0, on a crop that is cut, wraps on either axis or is whole."""
+    g = Grid(dim, N)
+    if velocity == "positive":
+        u_faces = face_average_velocity(ConstantDiagonal((1.0, 0.6)[:dim]), g)
+    else:
+        u_faces = face_velocities(g, velocity)
+    mask = np.zeros(g.shape, bool)
+    cells = CROP_WINDOWS[dim][window]
+    mask[np.ix_(*[np.arange(g.n)[c] for c in cells]) if cells else ...] = True
+    crop = periodic_window((mask,), 4)
+    assert crop.whole == (window == "whole")
+    assert [len(spans) for spans in crop.spans] == [
+        1 + (window == f"wrap-{ax}") for ax in range(dim)]
+    flow = face_flow(u_faces, g, 6)
+    cropped = crop_flow(flow, crop)
+    assert cropped.positive is None
+    for d, u in enumerate(u_faces):
+        assert cropped.u_faces[d].tobytes() == crop(u).tobytes()
+        want = crop(u < 0.0)
+        assert np.array_equal(mirrored_faces(cropped, d), want)
+        assert np.array_equal(crop(mirrored_faces(flow, d)), want)

@@ -144,10 +144,10 @@ def ref_window_extreme(c, radius, reducer):
     return out
 
 
-def ref_compute_bounds(qn, q_td, u_cell, sigma):
+def ref_compute_bounds(qn, q_td, u_faces, sigma):
     hi = np.maximum(qn, q_td)
     lo = np.minimum(qn, q_td)
-    s = fct.bounds_stencil_size(u_cell, sigma)
+    s = fct.bounds_stencil_size(u_faces, sigma)
     q_max = np.where(
         s == 2, ref_window_extreme(hi, 2, np.maximum), ref_window_extreme(hi, 1, np.maximum)
     )
@@ -392,10 +392,10 @@ class TestFctPhases:
 
     def test_compute_bounds(self, state):
         g, rng, qn, q_td = state
-        u_cell = tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(g.dim))
-        got = fct.compute_bounds(qn, q_td, u_cell, 0.9)
-        assert_bitwise(got, ref_compute_bounds(qn, q_td, u_cell, 0.9))
-        s = fct.bounds_stencil_size(u_cell, 0.9)
+        u_faces = tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(g.dim))
+        got = fct.compute_bounds(qn, q_td, u_faces, 0.9)
+        assert_bitwise(got, ref_compute_bounds(qn, q_td, u_faces, 0.9))
+        s = fct.bounds_stencil_size(u_faces, 0.9)
         assert 1 in s and 2 in s
 
     def test_smooth_extremum_flags(self, state):
@@ -455,7 +455,6 @@ def _step_without_roll(monkeypatch, dim, limiter, n):
     rng = np.random.default_rng(7)
     g = Grid(dim, n)
     u_faces = face_velocities(rng, g, "across" if dim == 2 else "mixed")
-    u_cell = tuple(rng.uniform(-1.0, 1.0, g.shape) for _ in range(dim))
     q = rough(rng, g.shape)
     if n > 16:  # zero outside a patch, so the window is cut from the grid
         patch = np.zeros(g.shape, dtype=bool)
@@ -467,7 +466,7 @@ def _step_without_roll(monkeypatch, dim, limiter, n):
     monkeypatch.setattr(fct, "limiter_window", lambda *a: windows.append(window(*a)) or windows[-1])
     monkeypatch.setattr(np, "roll", _no_roll)
     flow = face_flow(u_faces, g, 6)
-    q_new, _ = fct.fct_advance(qn, flow, u_cell, 0.3 * g.h, 0.3, scheme_coefficients("u9"),
+    q_new, _ = fct.fct_advance(qn, flow, 0.3 * g.h, 0.3, scheme_coefficients("u9"),
                                Workspace(g), limiter)
     assert np.all(np.isfinite(q_new))
     return [window(qn).shape for window in windows]

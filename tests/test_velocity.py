@@ -129,6 +129,18 @@ def test_cell_averages_affine_exact():
     assert uc[1][2, 5] == pytest.approx(2 * np.pi * (0.5 - xc[2]))
 
 
+@pytest.mark.parametrize("n, extent", [(256, 1.0), (37, 3.7)])
+@pytest.mark.parametrize("dim, kind", [(1, "constant"), (2, "constant"), (2, "rotation")])
+def test_face_velocity_is_the_cell_velocity(dim, kind, n, extent):
+    """Each supported field's u_d does not vary along x_d, and a face
+    centroid has its cell centre's transverse coordinates, so the face
+    velocities along d are the cell velocities bit for bit."""
+    g = Grid(dim, n, hi=extent)
+    v = make_velocity(kind, g)
+    for u_face, u_cell in zip(face_average_velocity(v, g), cell_average_velocity(v, g)):
+        assert u_face.tobytes() == u_cell.tobytes()
+
+
 def test_unknown_kind():
     g = Grid(2, 16)
     with pytest.raises(ValueError):

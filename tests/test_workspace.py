@@ -12,12 +12,7 @@ from fvadvect.fct import fct_advance
 from fvadvect.grid import Grid, Workspace
 from fvadvect.problems import initial_condition, standard_problem
 from fvadvect.schemes import default_product_order, face_flow, scheme_coefficients
-from fvadvect.velocity import (
-    cell_average_velocity,
-    face_average_velocity,
-    make_velocity,
-    max_speed,
-)
+from fvadvect.velocity import face_average_velocity, make_velocity, max_speed
 from limiter_patches import force_eta, skip_preconstraint
 
 # A limiter mode, or a limited step with eta forced to a value
@@ -72,14 +67,13 @@ def test_integrate_matches_fresh_buffers_every_step(monkeypatch, problem, kw):
     # the same steps, each fct_advance call given a fresh workspace
     s = scheme_coefficients(SCHEME)
     flow = face_flow(face_average_velocity(v, g), g, default_product_order(s))
-    u_cell = cell_average_velocity(v, g)
     speed = max_speed(v, g)
     dt = SIGMA * g.h / speed
     q, t = q0, 0.0
     assert len(got) == STEPS
     for step, field in enumerate(got, 1):
         step_dt = dt if step < STEPS else t_final - t
-        q, _ = fct_advance(q, flow, u_cell, step_dt, speed * step_dt / g.h, s, Workspace(g),
+        q, _ = fct_advance(q, flow, step_dt, speed * step_dt / g.h, s, Workspace(g),
                            limiter)
         t += step_dt
         assert field.tobytes() == q.tobytes(), f"step {step}"
@@ -90,17 +84,16 @@ def test_step_reads_qn_and_writes_the_other_frame():
     g, v, q0, t_final = setup(*PROBLEMS[1])
     s = scheme_coefficients(SCHEME)
     flow = face_flow(face_average_velocity(v, g), g, 6)
-    u_cell = cell_average_velocity(v, g)
     ws = Workspace(g)
     before = q0.copy()
     dt = 0.5 * g.h
-    q1, etas = fct_advance(q0, flow, u_cell, dt, 0.5, s, ws)
+    q1, etas = fct_advance(q0, flow, dt, 0.5, s, ws)
     assert q1 is ws.frames[0] and all(e is f for e, f in zip(etas, ws.flux))
     assert q0.tobytes() == before.tobytes()
     q1_bytes = q1.tobytes()
-    q2, _ = fct_advance(q1, flow, u_cell, dt, 0.5, s, ws)
+    q2, _ = fct_advance(q1, flow, dt, 0.5, s, ws)
     assert q2 is ws.frames[1] and q1.tobytes() == q1_bytes
-    assert fct_advance(q2, flow, u_cell, dt, 0.5, s, ws)[0] is ws.frames[0]
+    assert fct_advance(q2, flow, dt, 0.5, s, ws)[0] is ws.frames[0]
 
 
 def run_in_turns(runs, timeout=120.0):
