@@ -25,13 +25,27 @@ def stencil_eigenvalue(scheme, beta):
     return 0.0 + 0.0j + -1.0 * phi * (1.0 - np.exp(-1j * beta))
 
 
-def rk4_amplification(z):
-    """RK4 characteristic polynomial 1 + z + z^2/2 + z^3/6 + z^4/24."""
+def rk4_amplification(z, out=None):
+    """RK4 characteristic polynomial 1 + z + z^2/2 + z^3/6 + z^4/24.
+
+    Horner's rule in one fixed order, into ``out`` (fresh when not given):
+    out = z/24, out += 1/6, then out *= z, out += c for c = 1/2, 1, 1.
+    """
     z = np.asarray(z)
-    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    out = np.divide(z, 24.0, out=out)
+    out += 1.0 / 6.0
+    for c in (0.5, 1.0, 1.0):
+        out *= z
+        out += c
+    return out
 
 
 STABILITY_TOL = 1e-12
+# One mode's |g| evaluated alone can round differently from the same mode
+# in a full scan, by at most about 1e-15 where |g| <= 1.01: a lone mode
+# settles a probe as unstable only when it clears 1 + STABILITY_TOL by
+# this much more, so every decision is the full scan's.
+_LONE_MODE_MARGIN = 1e-9
 
 
 def phase_modes(scheme, dim=1, n_beta=1024):
@@ -73,18 +87,51 @@ def max_amplification(modes, sigma, scaled=None):
     return float(np.max(np.abs(rk4_amplification(z), out=z.real)))
 
 
+def _worst_mode(mag):
+    """The largest of ``mag`` and its flat index.  The maximum is taken
+    row by row, then in the winning row, so a strided ``mag`` is never
+    copied whole."""
+    rows = mag.reshape(-1, mag.shape[-1])
+    row_max = rows.max(axis=1)
+    i = int(np.argmax(row_max))
+    return float(row_max[i]), i * rows.shape[1] + int(np.argmax(rows[i]))
+
+
+def _lone_amplification(modes, index, sigma):
+    """|g(sigma * mode)| of the one mode ``modes.flat[index]``."""
+    return float(abs(rk4_amplification(sigma * modes.flat[index])))
+
+
 def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
     """Largest CFL number, found by bisection on the worst amplification.
 
-    Scans |g| over ``phase_modes`` and accepts sigma when
-    max|g| <= 1 + STABILITY_TOL.  Every probe reuses one buffer for the
-    scaled modes and their amplification magnitudes.
+    A probe is stable when max|g| over ``phase_modes`` is at most
+    1 + STABILITY_TOL.  A full scan forms sigma * modes and the
+    amplification in the row's own buffers (the first scan allocates the
+    second), the magnitudes |g| in the real part of the first, and keeps
+    the flat index of its worst mode when it is unstable.  A later probe
+    first evaluates that one mode alone: when its |g| clears the
+    threshold by ``_LONE_MODE_MARGIN`` the probe is unstable, as the full
+    scan would find; otherwise the probe runs the full scan.  Nothing is
+    kept between calls.
     """
     modes = phase_modes(scheme, dim, n_beta)
     scaled = np.empty_like(modes)
+    g = None
+    suspect = None  # worst mode of the last unstable full scan
 
     def stable(sig):
-        return max_amplification(modes, sig, scaled) <= 1.0 + STABILITY_TOL
+        nonlocal g, suspect
+        if suspect is not None and (_lone_amplification(modes, suspect, sig)
+                                    > 1.0 + STABILITY_TOL + _LONE_MODE_MARGIN):
+            return False
+        z = np.multiply(sig, modes, out=scaled)
+        g = rk4_amplification(z, out=g)
+        worst, index = _worst_mode(np.abs(g, out=z.real))
+        if worst <= 1.0 + STABILITY_TOL:
+            return True
+        suspect = index
+        return False
 
     lo, hi = 0.0, 4.0
     if stable(hi):

@@ -7,7 +7,9 @@ are diffable and bit-reproducible.
 
 import argparse
 import contextlib
+import errno
 import itertools
+import os
 import sys
 import warnings
 
@@ -139,19 +141,27 @@ def _cell(value):
 
 def _write_csv(dest, header, rows, comments=()):
     """``# key: value`` lines, a header, then the rows, to ``dest``: a path
-    or an open file.  Integers and strings are written as they are, other
-    numbers as FMT."""
+    or an open file, which is flushed.  Integers and strings are written as
+    they are, other numbers as FMT."""
     with open(dest, "w") if isinstance(dest, str) else contextlib.nullcontext(dest) as fh:
         fh.writelines(f"# {key}: {value}\n" for key, value in comments)
         fh.write(header + "\n")
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+        fh.flush()
+
+
+@contextlib.contextmanager
+def _outputs(*paths):
+    """Each path opened for appending (None where no path is given), before
+    the work that fills them: a bad path fails at once, and work that fails
+    leaves an existing file as it was.  Truncate a file before writing it."""
+    with contextlib.ExitStack() as stack:
+        yield [stack.enter_context(open(path, "a")) if path else None for path in paths]
 
 
 def _write_table(args, header, work):
-    """The rows ``work()`` returns, to ``--out`` when given, then to stdout.
-    ``--out`` is opened before the work, so a bad path fails at once, and
-    for appending, so work that fails leaves an existing file as it was."""
-    with open(args.out, "a") if args.out else contextlib.nullcontext() as fh:
+    """The rows ``work()`` returns, to ``--out`` when given, then to stdout."""
+    with _outputs(args.out) as (fh,):
         rows = list(work())
         if fh:
             fh.truncate(0)
@@ -192,34 +202,44 @@ def cmd_run(args):
             path = f"{args.dump_prefix}{step:06d}.csv"
             _write_field(path, grid, q, [("t", _fmt(t)), ("step", step)])
 
-    result = integrate(
-        q0, velocity, grid, scheme, args.sigma, args.t_final,
-        limiter=args.limiter, order=order,
-        collect_eta_stats=bool(args.eta_stats),
-        on_step=on_step if args.dump_every else None,
-    )
+    if args.dump_prefix:
+        folder = os.path.dirname(args.dump_prefix) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(errno.ENOENT, "no directory for dump-prefix", folder)
+    with _outputs(args.out, args.centerline, args.eta_stats) as (out, centerline, eta_stats):
+        result = integrate(
+            q0, velocity, grid, scheme, args.sigma, args.t_final,
+            limiter=args.limiter, order=order,
+            collect_eta_stats=bool(args.eta_stats),
+            on_step=on_step if args.dump_every else None,
+        )
 
-    metadata = [
-        ("ic", args.ic), ("velocity", args.velocity), ("scheme", args.scheme),
-        ("order", order), ("sigma", _fmt(args.sigma)), ("n", args.n),
-        ("dim", grid.dim), ("extent", _fmt(args.extent)),
-        ("t_final", _fmt(args.t_final)), ("limiter", args.limiter),
-        ("steps", result.steps), ("dt", _fmt(result.dt)),
-        ("conserved_initial", _fmt(result.conserved_initial)),
-        ("conserved_final", _fmt(result.conserved_final)),
-        ("conservation_drift", _fmt(result.conservation_drift)),
-        ("solution_min", _fmt(result.solution_min)),
-        ("solution_max", _fmt(result.solution_max)),
-    ]
-    if args.out:
-        _write_field(args.out, grid, result.field, metadata)
-    if args.centerline:
-        # row j = n/2 of a 2D field (the full profile in 1D)
-        line = result.field if grid.dim == 1 else result.field[:, grid.n // 2]
-        _write_csv(args.centerline, "i,x,q", zip(range(grid.n), grid.cell_centers(0), line))
-    if args.eta_stats:
-        stats = ((k, *s) for k, s in enumerate(result.eta_stats, 1))
-        _write_csv(args.eta_stats, "step,eta_min,eta_mean,frac_below_one", stats)
+        metadata = [
+            ("ic", args.ic), ("velocity", args.velocity), ("scheme", args.scheme),
+            ("order", order), ("sigma", _fmt(args.sigma)), ("n", args.n),
+            ("dim", grid.dim), ("extent", _fmt(args.extent)),
+            ("t_final", _fmt(args.t_final)), ("limiter", args.limiter),
+            ("steps", result.steps), ("dt", _fmt(result.dt)),
+            ("conserved_initial", _fmt(result.conserved_initial)),
+            ("conserved_final", _fmt(result.conserved_final)),
+            ("conservation_drift", _fmt(result.conservation_drift)),
+            ("solution_min", _fmt(result.solution_min)),
+            ("solution_max", _fmt(result.solution_max)),
+        ]
+        # each file is emptied just before its own write, so of two
+        # outputs given one path the later replaces the earlier
+        if out:
+            out.truncate(0)
+            _write_field(out, grid, result.field, metadata)
+        if centerline:
+            centerline.truncate(0)
+            # row j = n/2 of a 2D field (the full profile in 1D)
+            line = result.field if grid.dim == 1 else result.field[:, grid.n // 2]
+            _write_csv(centerline, "i,x,q", zip(range(grid.n), grid.cell_centers(0), line))
+        if eta_stats:
+            eta_stats.truncate(0)
+            stats = ((k, *s) for k, s in enumerate(result.eta_stats, 1))
+            _write_csv(eta_stats, "step,eta_min,eta_mean,frac_below_one", stats)
     for key, value in metadata:
         print(f"{key}: {value}")
     return 0

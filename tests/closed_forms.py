@@ -1,10 +1,13 @@
-"""Closed-form reference paths of the von Neumann analysis.
+"""Closed-form and plain reference paths of the von Neumann analysis.
 
-These cross-check the package's stencil transfer functions and Horner
-polynomial in the tests; the package itself evaluates neither form.
+These cross-check the package's stencil transfer functions, Horner
+polynomial and bisection in the tests; the package itself evaluates none
+of these forms.
 """
 
 import numpy as np
+
+from fvadvect import analysis
 
 
 def scheme_eigenvalue(scheme, betas, speeds=None, h=1.0):
@@ -60,3 +63,31 @@ def rk4_amplification_parts(x, y):
     )
     im = y * (1.0 + x + x**2 / 2.0 + x**3 / 6.0) - (y**3 / 6.0) * (1.0 + x)
     return re, im
+
+
+def allocating_amplification(z):
+    """The RK4 polynomial as one allocating Horner expression."""
+    z = np.asarray(z)
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+
+
+def plain_max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
+    """Bisection on sigma with a full scan of max|g| at every probe."""
+    modes = analysis.phase_modes(scheme, dim, n_beta)
+    scaled = np.empty_like(modes)
+
+    def stable(sig):
+        z = np.multiply(sig, modes, out=scaled)
+        growth = float(np.max(np.abs(allocating_amplification(z), out=z.real)))
+        return growth <= 1.0 + analysis.STABILITY_TOL
+
+    lo, hi = 0.0, 4.0
+    if stable(hi):
+        raise RuntimeError("bisection bracket too small")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -4,7 +4,12 @@ import warnings
 import numpy as np
 import pytest
 
-from closed_forms import rk4_amplification_parts, scheme_eigenvalue
+from closed_forms import (
+    allocating_amplification,
+    plain_max_stable_sigma,
+    rk4_amplification_parts,
+    scheme_eigenvalue,
+)
 from fvadvect import analysis
 from fvadvect.analysis import (
     max_amplification,
@@ -174,21 +179,29 @@ class TestFoldedPhaseModes:
         assert folded == full
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
-    def test_one_2d_probe_per_bisection_step_and_no_cache(self, name, monkeypatch):
-        # one rk4_amplification call on a 2D array per probe: the bracket
-        # check at sigma = 4 plus 16 halvings of 4 down to 1e-4
+    def test_at_most_one_full_probe_per_bisection_step_and_no_cache(self, name, monkeypatch):
+        # 17 probes: the bracket check at sigma = 4, a full scan, then 16
+        # halvings of 4 down to 1e-4, each one lone mode (L) that may be
+        # followed by one full scan of the 2D fold (F)
         calls = []
         original = analysis.rk4_amplification
 
-        def recorded(z):
-            calls.append(np.ndim(z))
-            return original(z)
+        def recorded(z, *args, **kwargs):
+            calls.append((np.shape(z), np.asarray(z).flat[0]))
+            return original(z, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "rk4_amplification", recorded)
         first = max_stable_sigma(name, 2)
-        assert calls == [2] * 17
+        kinds = "".join({0: "L", 2: "F"}[len(shape)] for shape, _ in calls)
+        assert re.fullmatch(r"F(LF?){16}", kinds), kinds
+        # a stable probe always takes the full scan; the table's 2D rows
+        # take 7 to 12, the other unstable probes are settled by one mode
+        assert kinds.count("F") <= 12
+        assert all(shape == (512, 1025) for shape, _ in calls if shape)
+        once = list(calls)
+        calls.clear()
         assert max_stable_sigma(name, 2) == first
-        assert calls == [2] * 34
+        assert calls == once
 
     def test_bad_dim_raises_before_any_eigenvalue(self, monkeypatch):
         def no_eigenvalues(*args, **kwargs):
@@ -197,6 +210,146 @@ class TestFoldedPhaseModes:
         monkeypatch.setattr(analysis, "stencil_eigenvalue", no_eigenvalues)
         with pytest.raises(ValueError, match="dim must be 1 or 2"):
             phase_modes("u9", 3)
+
+
+SIGMAS = (0.3, 0.8, 1.7, 4.0)
+
+
+class TestBufferedAmplification:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_out_is_bitwise_the_allocating_form(self, name, dim):
+        modes = phase_modes(name, dim)
+        buf = np.empty_like(modes)
+        for sigma in SIGMAS:
+            z = sigma * modes
+            fresh = rk4_amplification(z)
+            assert rk4_amplification(z, out=buf) is buf
+            assert np.array_equal(buf.view(np.int64), fresh.view(np.int64))
+            if dim == 2:
+                # numpy's temporary elision runs the one-line expression in
+                # the same order on arrays this large
+                old = allocating_amplification(z)
+                assert np.array_equal(buf.view(np.int64), old.view(np.int64))
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e300])
+    def test_out_is_bitwise_the_allocating_form_at_extremes(self, sigma):
+        for name in SCHEME_NAMES:
+            for dim in (1, 2):
+                modes = phase_modes(name, dim, 64)
+                buf = np.empty_like(modes)
+                with np.errstate(all="ignore"):
+                    z = sigma * modes
+                    fresh = rk4_amplification(z)
+                    rk4_amplification(z, out=buf)
+                assert np.array_equal(buf.view(np.int64), fresh.view(np.int64))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_lone_mode_rounds_within_the_margin(self, dim):
+        # a lone mode's |g| against the same mode's in a full scan, on 256
+        # modes per case plus each scan's worst
+        rng = np.random.default_rng(dim)
+        worst_gap = 0.0
+        for name in SCHEME_NAMES:
+            modes = phase_modes(name, dim)
+            picks = rng.integers(0, modes.size, 256)
+            for sigma in np.linspace(0.05, 2.0, 8):
+                mag = np.abs(rk4_amplification(sigma * modes))
+                _, worst = analysis._worst_mode(mag)
+                for index in (*picks, worst):
+                    full = mag.flat[index]
+                    if full <= 1.01:
+                        lone = analysis._lone_amplification(modes, index, sigma)
+                        worst_gap = max(worst_gap, abs(lone - full))
+        assert worst_gap <= 1e-12
+        assert 1e-12 + worst_gap < analysis._LONE_MODE_MARGIN
+
+    def test_worst_mode_is_the_maximum_and_its_index(self):
+        mag = np.abs(phase_modes("u7", 2, 64)).copy()
+        mag[5, 7] = mag[20, 3] = 99.0
+        assert analysis._worst_mode(mag) == (99.0, 5 * mag.shape[1] + 7)
+        assert analysis._worst_mode(mag[:, 1]) == (float(mag[:, 1].max()),
+                                                  int(np.argmax(mag[:, 1])))
+
+
+def _real_mode(growth):
+    """A negative real eigenvalue m with |g(2 m)| = ``growth`` > 1, found by
+    bisection on the real axis past the RK4 boundary near -2.785."""
+    lo, hi = -3.0, -2.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if abs(rk4_amplification(mid)) > growth:
+            lo = mid
+        else:
+            hi = mid
+    return complex(lo / 2.0)
+
+
+class TestLoneModeDecision:
+    def probes(self, monkeypatch, mode):
+        """The calls of one bisection on a mode set whose worst mode at
+        sigma = 4 is ``mode``, as L (lone) and F (full) letters."""
+        modes = np.array([mode, 0.1 * mode, -0.01j], dtype=complex)
+        monkeypatch.setattr(analysis, "phase_modes", lambda scheme, dim=1, n_beta=1024: modes)
+        calls = []
+        original = analysis.rk4_amplification
+
+        def recorded(z, *args, **kwargs):
+            calls.append("F" if np.ndim(z) else "L")
+            return original(z, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "rk4_amplification", recorded)
+        sigma = max_stable_sigma("u5")
+        return "".join(calls), sigma
+
+    def test_suspect_inside_the_margin_takes_the_full_scan(self, monkeypatch):
+        # at sigma = 2 the suspect's |g| is 1 + 5e-10: unstable, but within
+        # the margin, so the lone mode leaves the decision to the full scan
+        mode = _real_mode(1.0 + 5e-10)
+        assert 1.0 + analysis.STABILITY_TOL < abs(rk4_amplification(2.0 * mode)) \
+            <= 1.0 + analysis.STABILITY_TOL + analysis._LONE_MODE_MARGIN
+        calls, sigma = self.probes(monkeypatch, mode)
+        assert calls.startswith("FLF")
+        assert sigma < 2.0  # the full scan found sigma = 2 unstable
+
+    def test_suspect_past_the_margin_settles_the_probe(self, monkeypatch):
+        calls, sigma = self.probes(monkeypatch, _real_mode(1.0 + 1e-6))
+        assert calls.startswith("FLL")
+        assert sigma < 2.0
+
+
+class TestReferenceBisection:
+    """The lone-mode shortcut changes no decision: the table equals the
+    plain bisection with a full scan at every probe."""
+
+    def test_default_table(self):
+        expected = [(name, dim, plain_max_stable_sigma(name, dim))
+                    for name in SCHEME_NAMES for dim in (1, 2)]
+        assert stability_table() == expected
+
+    @pytest.mark.parametrize("n_beta", [17, 256])
+    def test_coarse_tables(self, n_beta):
+        expected = [(name, dim, plain_max_stable_sigma(name, dim, n_beta, 1e-3))
+                    for name in SCHEME_NAMES for dim in (1, 2)]
+        assert stability_table(n_beta=n_beta, tol=1e-3) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", SCHEME_NAMES)
+    def test_every_lone_verdict_is_the_full_scans(self, name, dim, monkeypatch):
+        verdicts = []
+        original = analysis._lone_amplification
+
+        def recorded(modes, index, sigma):
+            growth = original(modes, index, sigma)
+            verdicts.append((modes, sigma, growth))
+            return growth
+
+        monkeypatch.setattr(analysis, "_lone_amplification", recorded)
+        assert max_stable_sigma(name, dim) == plain_max_stable_sigma(name, dim)
+        threshold = 1.0 + analysis.STABILITY_TOL
+        for modes, sigma, growth in verdicts:
+            if growth > threshold + analysis._LONE_MODE_MARGIN:
+                assert max_amplification(modes, sigma) > threshold
 
 
 class TestPhaseDissipationCurve:

@@ -361,6 +361,56 @@ def test_bad_out_path_exits_before_the_work(monkeypatch, capsys, work, argv):
     assert err.startswith("i/o error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--out", "/nonexistent/dir/x.csv"],
+    ["--centerline", "/nonexistent/dir/line.csv"],
+    ["--eta-stats", "/nonexistent/dir/eta.csv"],
+    ["--dump-every", "1", "--dump-prefix", "/nonexistent/dir/snap"],
+])
+def test_bad_run_output_path_exits_before_the_solve(monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "integrate", _no_work)
+    code = main(["run", "--dim", "2", "--n", "32", "--sigma", "0.4", "--t-final", "0.25", *flags])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("i/o error: ")
+
+
+def test_run_outputs_kept_on_failure(monkeypatch, tmp_path, capsys):
+    def fails(*args, **kwargs):
+        raise cli.NumericsError("non-finite values at step 1")
+
+    paths = [tmp_path / name for name in ("sol.csv", "line.csv", "eta.csv")]
+    for path in paths:
+        path.write_text("kept\n" * 10)
+    monkeypatch.setattr(cli, "integrate", fails)
+    code = main(["run", "--n", "16", "--t-final", "0.05", "--out", str(paths[0]),
+                 "--centerline", str(paths[1]), "--eta-stats", str(paths[2])])
+    assert code == 2
+    assert [path.read_text() for path in paths] == ["kept\n" * 10] * 3
+
+
+def test_run_outputs_replace_existing_files(tmp_path, capsys):
+    argv = ["run", "--n", "16", "--t-final", "0.05"]
+    fresh = [tmp_path / name for name in ("a.csv", "a_line.csv", "a_eta.csv")]
+    stale = [tmp_path / name for name in ("b.csv", "b_line.csv", "b_eta.csv")]
+    for path in stale:
+        path.write_text("stale\n" * 1000)
+    for paths in (fresh, stale):
+        flags = ["--out", str(paths[0]), "--centerline", str(paths[1]),
+                 "--eta-stats", str(paths[2])]
+        assert main(argv + flags) == 0
+    assert [p.read_bytes() for p in stale] == [p.read_bytes() for p in fresh]
+    assert fresh[0].read_text().startswith("# ic: square\n")
+
+
+def test_one_path_for_two_run_outputs_keeps_the_later(tmp_path, capsys):
+    argv = ["run", "--n", "16", "--t-final", "0.05"]
+    same, line = tmp_path / "same.csv", tmp_path / "line.csv"
+    assert main(argv + ["--out", str(same), "--centerline", str(same)]) == 0
+    assert main(argv + ["--centerline", str(line)]) == 0
+    assert same.read_bytes() == line.read_bytes()
+
+
 def test_out_file_kept_on_failure_and_replaced_on_success(tmp_path, capsys):
     out = tmp_path / "curves.csv"
     out.write_text("kept\n" * 100)
