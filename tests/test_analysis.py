@@ -179,7 +179,7 @@ class TestFoldedPhaseModes:
         assert folded == full
 
     @pytest.mark.parametrize("name", SCHEME_NAMES)
-    def test_at_most_one_full_probe_per_bisection_step_and_no_cache(self, name, monkeypatch):
+    def test_one_2d_probe_per_bisection_step_and_no_cache(self, name, monkeypatch):
         # 17 probes: the bracket check at sigma = 4, a full scan, then 16
         # halvings of 4 down to 1e-4, each one lone mode (L) that may be
         # followed by one full scan of the 2D fold (F)
