@@ -25,18 +25,54 @@ def stencil_eigenvalue(scheme, beta):
     return 0.0 + 0.0j + -1.0 * phi * (1.0 - np.exp(-1j * beta))
 
 
+# Items per block of a full amplification scan: 16 rows of the 2D fold of
+# 1025 complex values, about 260 KB, so a block stays in a 2 MB L2 cache
+# through the five passes of Horner's rule.
+_BLOCK_ITEMS = 16 * 1025
+
+
+def _row_blocks(a):
+    """Slices of whole rows (along the first axis of a 1-d or wider ``a``)
+    that split it evenly into blocks of about ``_BLOCK_ITEMS`` items, and
+    the most rows in one block.  Splitting evenly leaves no short last
+    block: numpy multiplies one or two complex items in another loop than
+    a long array, and that loop can round differently."""
+    n = len(a)
+    count = min(n, -(-a.size // _BLOCK_ITEMS))
+    blocks = [slice(i * n // count, (i + 1) * n // count) for i in range(count)]
+    return blocks, -(-n // max(count, 1))
+
+
 def rk4_amplification(z, out=None):
     """RK4 characteristic polynomial 1 + z + z^2/2 + z^3/6 + z^4/24.
 
     Horner's rule in one fixed order, into ``out`` (fresh when not given):
-    out = z/24, out += 1/6, then out *= z, out += c for c = 1/2, 1, 1.
+    out = z * (1/24), out += 1/6, then out *= z, out += c for c = 1/2, 1,
+    1.  The passes run block by block (``_row_blocks``), so a block stays
+    in cache through all five, and each block of ``z`` is first copied
+    into one small buffer, so ``out`` may be ``z`` itself.  The blocks
+    change no value: every one is bitwise what whole-array passes give.
+
+    For complex ``z``, ``z * (1/24)`` is bitwise ``z / 24`` (numpy divides
+    a complex number by 24 as a multiply by the reciprocal) unless some
+    part of ``z`` is subnormal: sigma = 1e-310 on ``phase_modes`` gives
+    such a difference.  For real ``z`` the two can differ by one rounding.
     """
     z = np.asarray(z)
-    out = np.divide(z, 24.0, out=out)
-    out += 1.0 / 6.0
-    for c in (0.5, 1.0, 1.0):
-        out *= z
-        out += c
+    if out is None:
+        out = np.empty_like(z, dtype=np.result_type(z, 1.0))
+    rows_z, rows_out = np.atleast_1d(z, out)
+    blocks, rows = _row_blocks(rows_z)
+    buf = np.empty((rows,) + rows_z.shape[1:], rows_z.dtype)
+    for block in blocks:
+        ob = rows_out[block]
+        zb = buf[: len(ob)]
+        np.copyto(zb, rows_z[block])
+        np.multiply(zb, 1.0 / 24.0, out=ob)
+        ob += 1.0 / 6.0
+        for c in (0.5, 1.0, 1.0):
+            ob *= zb
+            ob += c
     return out
 
 
@@ -80,21 +116,37 @@ def max_amplification(modes, sigma, scaled=None):
     """Largest RK4 amplification |g(sigma * mode)| over ``modes``.
 
     ``sigma * modes`` is formed in ``scaled`` (an array of the shape and
-    type of ``modes``, fresh when not given), and the magnitudes |g| in its
-    real part, which is free once g is formed.
+    type of ``modes``, fresh when not given), g in place over it, and the
+    maximum of |g| block by block (``_worst_mode``), so no second array of
+    the size of ``modes`` is made.  A NaN (an overflowing sigma) gives NaN.
     """
     z = np.multiply(sigma, modes, out=scaled)
-    return float(np.max(np.abs(rk4_amplification(z), out=z.real)))
+    return _worst_mode(rk4_amplification(z, out=z))[0]
 
 
-def _worst_mode(mag):
-    """The largest of ``mag`` and its flat index.  The maximum is taken
-    row by row, then in the winning row, so a strided ``mag`` is never
-    copied whole."""
-    rows = mag.reshape(-1, mag.shape[-1])
-    row_max = rows.max(axis=1)
-    i = int(np.argmax(row_max))
-    return float(row_max[i]), i * rows.shape[1] + int(np.argmax(rows[i]))
+def _worst_mode(g):
+    """The largest |g| and the first flat index where it is found.
+
+    |g| is taken block by block (``_row_blocks``) into one small buffer,
+    so neither a magnitude array of the size of ``g`` nor a copy of a
+    strided ``g`` is made.  A tie keeps the first flat index, and a NaN
+    makes the result NaN at the first NaN, as ``np.max`` and ``np.argmax``
+    do.
+    """
+    g = np.atleast_1d(g)
+    if g.size == 0:
+        raise ValueError("no modes to scan")
+    blocks, rows = _row_blocks(g)
+    buf = np.empty((rows,) + g.shape[1:])
+    worst, index = -1.0, 0
+    for block in blocks:
+        mag = np.abs(g[block], out=buf[: block.stop - block.start])
+        k = int(np.argmax(mag))
+        if not mag.flat[k] <= worst:  # larger, or NaN
+            worst, index = float(mag.flat[k]), block.start * (g.size // len(g)) + k
+            if worst != worst:
+                break
+    return worst, index
 
 
 def _lone_amplification(modes, index, sigma):
@@ -106,10 +158,10 @@ def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
     """Largest CFL number, found by bisection on the worst amplification.
 
     A probe is stable when max|g| over ``phase_modes`` is at most
-    1 + STABILITY_TOL.  A full scan forms sigma * modes and the
-    amplification in the row's own buffers (the first scan allocates the
-    second), the magnitudes |g| in the real part of the first, and keeps
-    the flat index of its worst mode when it is unstable.  A later probe
+    1 + STABILITY_TOL.  A full scan forms sigma * modes in the row's one
+    buffer, evaluates g in place over it with one ``rk4_amplification``
+    call, and takes the worst mode block by block (``_worst_mode``),
+    keeping its flat index when the probe is unstable.  A later probe
     first evaluates that one mode alone: when its |g| clears the
     threshold by ``_LONE_MODE_MARGIN`` the probe is unstable, as the full
     scan would find; otherwise the probe runs the full scan.  Nothing is
@@ -117,17 +169,15 @@ def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
     """
     modes = phase_modes(scheme, dim, n_beta)
     scaled = np.empty_like(modes)
-    g = None
     suspect = None  # worst mode of the last unstable full scan
 
     def stable(sig):
-        nonlocal g, suspect
+        nonlocal suspect
         if suspect is not None and (_lone_amplification(modes, suspect, sig)
                                     > 1.0 + STABILITY_TOL + _LONE_MODE_MARGIN):
             return False
         z = np.multiply(sig, modes, out=scaled)
-        g = rk4_amplification(z, out=g)
-        worst, index = _worst_mode(np.abs(g, out=z.real))
+        worst, index = _worst_mode(rk4_amplification(z, out=z))
         if worst <= 1.0 + STABILITY_TOL:
             return True
         suspect = index

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,123 @@ class TestBufferedAmplification:
         assert analysis._worst_mode(mag) == (99.0, 5 * mag.shape[1] + 7)
         assert analysis._worst_mode(mag[:, 1]) == (float(mag[:, 1].max()),
                                                   int(np.argmax(mag[:, 1])))
+
+
+def whole_array_amplification(z):
+    """``rk4_amplification``'s passes over the whole array at once, into a
+    fresh array: the form before the blocks."""
+    z = np.asarray(z)
+    g = np.multiply(z, 1.0 / 24.0, out=np.empty(z.shape, np.result_type(z, 1.0)))
+    g += 1.0 / 6.0
+    for c in (0.5, 1.0, 1.0):
+        g *= z
+        g += c
+    return g
+
+
+def bits(a):
+    a = np.ascontiguousarray(np.atleast_1d(a))
+    return a.dtype, a.shape, a.view(np.int64).tobytes()
+
+
+def traced_peak(call, *args):
+    """Peak bytes allocated by ``call(*args)`` above the start."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedAmplification:
+    """The full scan runs in blocks of rows, in place: no value moves."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(22)
+        yield np.asarray(0.3 - 1.7j)
+        yield np.asarray(-1.0)
+        yield 3.0 * rng.standard_normal(1000)
+        yield 1.3 * phase_modes("u9", 1)
+        for n_beta in (17, 64, 1001, 1023, 1024):
+            for name, sigma in (("c6", 1.7), ("u7", 0.8)):
+                yield sigma * phase_modes(name, 2, n_beta)
+
+    def test_blocks_are_bitwise_the_whole_array_passes(self):
+        for z in self.cases():
+            want = bits(whole_array_amplification(z))
+            assert bits(rk4_amplification(z)) == want
+            inplace = z.astype(np.result_type(z, 1.0))
+            assert rk4_amplification(inplace, out=inplace) is inplace
+            assert bits(inplace) == want
+            if z.ndim == 2:
+                # a strided z, and a strided out
+                assert bits(rk4_amplification(z[:, ::3])) == bits(
+                    whole_array_amplification(z[:, ::3]))
+                assert bits(rk4_amplification(z.T)) == bits(whole_array_amplification(z.T))
+                out = np.empty(z.shape[::-1], z.dtype).T
+                rk4_amplification(z, out=out)
+                assert bits(out) == want
+
+    @pytest.mark.parametrize("n_beta", [1001, 1024])
+    def test_folds_take_several_blocks_and_no_short_one(self, n_beta):
+        blocks, rows = analysis._row_blocks(phase_modes("u5", 2, n_beta))
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) > 1 and rows == max(sizes) and max(sizes) - min(sizes) <= 1
+        assert blocks[0].start == 0 and blocks[-1].stop == (n_beta + 1) // 2
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+
+    def test_reciprocal_multiply_is_the_division_at_every_table_probe(self, monkeypatch):
+        # the first step at every probe of the default table, lone modes
+        # included; on a 2D fold the whole polynomial equals the one-line
+        # form that starts with z / 24 (numpy's temporary elision runs it
+        # in the same order on arrays this large)
+        original = analysis.rk4_amplification
+        probes = []
+
+        def checked(z, out=None):
+            first = bits(z * (1.0 / 24.0)) == bits(z / 24.0)
+            whole = bits(allocating_amplification(z)) if np.ndim(z) == 2 else None
+            got = original(z, out=out)
+            probes.append(first and whole in (None, bits(got)))
+            return got
+
+        monkeypatch.setattr(analysis, "rk4_amplification", checked)
+        stability_table()
+        assert len(probes) > 200 and all(probes)
+
+    def test_reciprocal_multiply_differs_only_at_subnormal_z(self):
+        modes = phase_modes("c4", 2, 64)
+        for sigma, equal in ((1e-300, True), (0.8, True), (1e300, True), (1e-310, False)):
+            with np.errstate(all="ignore"):
+                z = sigma * modes
+                assert (bits(z * (1.0 / 24.0)) == bits(z / 24.0)) == equal
+
+    def test_nan_in_the_last_block(self, monkeypatch):
+        modes = phase_modes("u9", 2).copy()
+        blocks, _ = analysis._row_blocks(modes)
+        modes[blocks[-1].start + 1, 7] = complex(np.nan, 0.0)
+        monkeypatch.setattr(analysis, "phase_modes", lambda scheme, dim=1, n_beta=1024: modes)
+        assert np.isnan(max_amplification(modes, 0.5))
+        assert max_stable_sigma("u9", 2) == plain_max_stable_sigma("u9", 2)
+
+    def test_worst_mode_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_ITEMS", 3 * 65)
+        mag = np.abs(phase_modes("u7", 2, 64)).copy()  # 32 x 65, 11 blocks
+        mag[5, 7] = mag[20, 3] = 99.0
+        assert analysis._worst_mode(mag) == (99.0, 5 * 65 + 7)
+        mag[25, 0] = mag[30, 1] = np.nan
+        worst, index = analysis._worst_mode(mag)
+        assert np.isnan(worst) and index == 25 * 65 == int(np.argmax(mag))
+
+    def test_a_2d_bisection_holds_two_fold_sized_arrays(self):
+        fold = phase_modes("u9", 2).nbytes
+        assert traced_peak(max_stable_sigma, "u9", 2) < 2 * fold + 1_000_000
+
+    def test_max_amplification_makes_one_fold_sized_array(self):
+        modes = phase_modes("u9", 2)
+        assert traced_peak(max_amplification, modes, 0.8) < modes.nbytes + 1_000_000
 
 
 def _real_mode(growth):

@@ -1,8 +1,10 @@
 """``tools/bench_record.py`` names each checkout by the git tree of its
 ``src`` directory, hashed from the files, so a checkout exported without
-``.git`` is named as git would name it."""
+``.git`` is named as git would name it, and reads a run's result only from
+a strictly valid JSON last line."""
 
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -51,3 +53,39 @@ def test_src_tree_of_an_export_without_git(tmp_path):
     assert recorder.tree_hash(src) == recorder.tree_hash(REPO / "src")
     (src / "fvadvect" / "grid.py").write_text("# changed\n")
     assert recorder.tree_hash(src) != recorder.tree_hash(REPO / "src")
+
+
+RESULT = {"correct": True, "attempted": 1, "failed": 0,
+          "metrics": {"run_s": {"value": 0.25, "unit": "s"}}}
+
+
+def run_with_output(monkeypatch, text, returncode=0):
+    """``run_once`` on a benchmark process that printed ``text``."""
+    recorder = load_recorder()
+
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout=text)
+
+    monkeypatch.setattr(recorder.subprocess, "run", fake_run)
+    return recorder.run_once(REPO, "stability-table", 1, 1.0, 0)[0]
+
+
+def test_a_good_last_line_is_the_result(monkeypatch):
+    text = '{"provenance": {"numpy": "2"}}\nreport\n' + json.dumps(RESULT) + "\n"
+    record = run_with_output(monkeypatch, text)
+    assert record == {"exit_code": 0, "correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"run_s": 0.25}}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_metric_is_malformed(monkeypatch, value):
+    line = json.dumps(RESULT).replace("0.25", value)
+    record = run_with_output(monkeypatch, "report\n" + line + "\n")
+    assert record == {"exit_code": 0, "malformed": True, "last_line": line}
+
+
+def test_a_line_after_the_result_is_malformed(monkeypatch):
+    text = json.dumps(RESULT) + "\nRuntimeWarning: overflow encountered in multiply\n"
+    record = run_with_output(monkeypatch, text)
+    assert record == {"exit_code": 0, "malformed": True,
+                      "last_line": "RuntimeWarning: overflow encountered in multiply"}

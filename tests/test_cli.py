@@ -251,6 +251,18 @@ class TestValidation:
         assert [w.category for w in caught] == [UserWarning]
         assert "sigma=1e+300 exceeds the stability bound" in str(caught[0].message)
 
+    def test_sigma_whose_growth_is_infinite_warns(self):
+        # here max |g| overflows to inf, not NaN
+        with np.errstate(all="ignore"):
+            assert analysis.max_amplification(analysis.phase_modes("u9", 2), 1e100) == np.inf
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--n", "16", "--dim", "2", "--sigma", "1e100",
+                         "--t-final", "0.05"])
+        assert code == 0
+        assert [w.category for w in caught] == [UserWarning]
+        assert "max |g| = inf" in str(caught[0].message)
+
 
 class TestRun:
     def test_t_zero_equals_initial_condition(self, tmp_path):

@@ -16,8 +16,9 @@ metrics, and per metric the median, quartiles, IQR, min and max of each
 side, the ratio of the medians and the number of pairs the change won.
 For the traced runs it holds the median per-layer self ms and call counts
 per step.  Every run's standard error is merged into its standard output
-and the last line must parse as the benchmark's JSON result; a run where
-it does not is recorded as malformed.  Each run also keeps the benchmark's
+and the last line must parse strictly as the benchmark's JSON result (no
+``NaN`` or ``Infinity``, and nothing printed after it); a run where it
+does not is recorded as malformed.  Each run also keeps the benchmark's
 ``missing`` report: the traced layers the program no longer has.
 
 Each checkout is named by the git tree id of its ``src`` directory,
@@ -126,6 +127,11 @@ def known_commit(sha):
     return sha if out.returncode == 0 and out.stdout.strip() else None
 
 
+def strict_constant(name):
+    """``json.loads`` hook: a result with NaN or Infinity is malformed."""
+    raise ValueError(f"non-finite number {name} in a result line")
+
+
 def run_once(checkout, workload, seed, seconds, trace):
     """One ``perfbench/run.py`` process -> (result record, its provenance)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -140,7 +146,7 @@ def run_once(checkout, workload, seed, seconds, trace):
         elif line.startswith("missing "):
             record["missing"] = ast.literal_eval(line.split(None, 1)[1])
     try:
-        result = json.loads(lines[-1])
+        result = json.loads(lines[-1], parse_constant=strict_constant)
         record.update(correct=result["correct"], attempted=result["attempted"],
                       failed=result["failed"],
                       metrics={k: v["value"] for k, v in result["metrics"].items()})
