@@ -90,6 +90,9 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h):
       3. the flux magnitude is no larger than the low-order scheme's own
          modified-equation dissipation across the face, (|u| h / 2) *
          (1 - sigma_face) * |avg of adjacent second differences|.
+
+    ``u_faces`` may be in their compact shape: |u| is formed at the
+    window's shape, so the in-place chain of the dissipation keeps it.
     """
     out = []
     for d in range(q_td.ndim):
@@ -103,7 +106,7 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h):
         np.minimum(kink, neighbour_apply(np.multiply, d2, -1, d2, -2, d, buf), out=kink)
         np.minimum(kink, neighbour_apply(np.multiply, d2, 0, d2, 1, d, buf), out=kink)
         zeroed &= kink < 0.0
-        dissipation = np.abs(u_faces[d])
+        dissipation = np.abs(np.broadcast_to(u_faces[d], q_td.shape))
         np.multiply(dissipation, dt, out=buf)
         buf /= h
         np.subtract(1.0, buf, out=buf)  # 1 - sigma_face
@@ -146,7 +149,9 @@ def bounds_stencil_size(u_faces, sigma):
     """Per-cell window radius: 2 where sigma*max_d|u_d| >= 0.5, else 1.
 
     ``u_faces`` are the face velocities, u_d read at the cell's left face
-    along d (for both supported fields, the cell's own velocity).
+    along d (for both supported fields, the cell's own velocity), in any
+    shapes that broadcast together; the radius takes their broadcast
+    shape, so compact velocities give a compact radius.
     sigma*max_d|u_d| is the local Courant number only where the run's
     maximum speed is 1: under rotation on the unit square (maximum speed
     pi) radius 2 is taken where |u| dt/h >= 0.5/pi, about 0.16.
@@ -165,7 +170,8 @@ def compute_bounds(qn, q_td, u_faces, sigma):
 
     Returns ``(q_max, q_min)`` over the [2s+1]^dim block around each
     cell, s from ``bounds_stencil_size`` of the face velocities
-    ``u_faces``, with q_n and q_td together as the candidates.
+    ``u_faces`` (which may be compact: s is read by broadcasting), with
+    q_n and q_td together as the candidates.
     """
     hi = np.maximum(qn, q_td)
     lo = np.minimum(qn, q_td)

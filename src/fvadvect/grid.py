@@ -77,17 +77,20 @@ class Grid:
         axes = [self.cell_centers(d) for d in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij")) if self.dim > 1 else (axes[0],)
 
-    def face_center_mesh(self, d):
+    def face_center_mesh(self, d, sparse=False):
         """Centroid coordinates of the faces normal to axis ``d``.
 
         Along axis ``d`` the coordinate is the face position; along the other
-        axes it is the cell-center coordinate of the transverse row.
+        axes it is the cell-center coordinate of the transverse row.  With
+        ``sparse`` each coordinate has length 1 along the other axes, and
+        the arrays broadcast to the face shape.
         """
         axes = [
             self.face_coords(ax) if ax == d else self.cell_centers(ax)
             for ax in range(self.dim)
         ]
-        return tuple(np.meshgrid(*axes, indexing="ij")) if self.dim > 1 else (axes[0],)
+        return (tuple(np.meshgrid(*axes, indexing="ij", sparse=sparse)) if self.dim > 1
+                else (axes[0],))
 
     def __repr__(self):
         return f"Grid(dim={self.dim}, n={self.n}, lo={self.lo}, hi={self.hi})"
@@ -110,7 +113,9 @@ class Workspace:
     antidiffusive flux) and a stage flux (then the CTU flux, then the
     returned etas).  ``face`` holds face values, ``scratch`` two arrays
     that no kernel keeps across calls, and ``active`` one boolean array
-    per axis for the limiter's active faces.
+    per axis: the high-order crop's cells, then the CTU fluxes' masks of
+    faces with u >= 0 (spread from the flow's compact masks), then the
+    limiter's active faces.
 
     The float buffers are consecutive blocks of one flat ``pool``, the
     frames at its two ends, so the pool less the frame a step reads is

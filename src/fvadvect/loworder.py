@@ -22,22 +22,31 @@ from .grid import flux_divergence, neighbour_apply
 def _donor_flux(q, u_face, positive, d, out):
     """``u_face`` times the upstream cell of each face normal to ``d``.
 
-    ``positive`` marks the faces with ``u_face >= 0``, whose upstream cell
-    is the left one.
+    ``positive``, of ``q``'s shape, marks the faces with ``u_face >= 0``,
+    whose upstream cell is the left one.  ``out`` takes a copy of ``q``,
+    then the left cell where ``positive`` is set (``x * 1.0 == x``), then
+    the product with ``u_face``, which may be any array that broadcasts
+    to ``q``.
     """
-    np.multiply(u_face, q, out=out)
-    return neighbour_apply(np.multiply, u_face, 0, q, -1, d, out, where=positive)
+    np.copyto(out, q)
+    neighbour_apply(np.multiply, q, -1, 1.0, 0, d, out, where=positive)
+    out *= u_face
+    return out
 
 
 def ctu_fluxes(qn, flow, dt, ws):
     """Per-dimension CTU face fluxes for one step of size ``dt``.
 
     The face velocities and their masks of faces with u >= 0 come from
-    the run's ``FaceFlow``.  The fluxes are written into the workspace's
+    the run's ``FaceFlow``, in their compact shapes; the masks are spread
+    to the grid's shape in ``ws.active``, which is free until
+    ``limiter_window``.  The fluxes are written into the workspace's
     ``flux``; the predicted state q_tilde is formed in
     ``ws.next_frame(qn)``, which is free until the update.
     """
-    grid, u_faces, positive = flow.grid, flow.u_faces, flow.positive
+    grid, u_faces, positive = flow.grid, flow.u_faces, ws.active
+    for mask, compact_mask in zip(positive, flow.positive):
+        mask[...] = compact_mask
     q_tilde = ws.next_frame(qn)
     upwind, diff = ws.scratch
     out = ws.flux

@@ -11,7 +11,9 @@ symmetric about the face, so mirroring leaves them unchanged.
 
 The velocity is frozen for a run, so what the face fluxes need from it (the
 upwind orientation per axis and the product-rule weights) is computed once
-into a ``FaceFlow`` and reused by every stage of every step.
+into a ``FaceFlow`` and reused by every stage of every step.  Its arrays
+are kept in their ``compact`` shape, of length 1 along every axis they do
+not vary along, and read by broadcasting.
 """
 
 import functools
@@ -71,6 +73,24 @@ def scheme_coefficients(name):
 def default_product_order(scheme):
     """Product-rule order paired with a stencil: 4 for c4/u5, 6 for the rest."""
     return 4 if scheme.order <= 5 else 6
+
+
+def compact(a):
+    """``a`` cut to length 1 along every axis it does not vary along.
+
+    An axis of stride 0 (a broadcast view) is cut unread; any other is cut
+    where every entry equals the first one bit for bit.  The result
+    broadcasts to ``a``'s shape and equals ``a`` bitwise there: a copy
+    where anything was cut, ``a`` itself otherwise.
+    """
+    ndim = a.ndim
+    cut = a[tuple(slice(0, 1) if stride == 0 else slice(None) for stride in a.strides)]
+    for ax in range(ndim):
+        first = axis_index(ax, slice(0, 1), ndim)
+        bits = cut.view(f"u{cut.itemsize}")
+        if cut.shape[ax] > 1 and np.all(bits == bits[first]):
+            cut = cut[first]
+    return a if cut.shape == a.shape else cut.copy()
 
 
 class Orientation(NamedTuple):
@@ -140,21 +160,21 @@ def _differences(f, t):
 def product_rule_weights(u_face, order, d, grid):
     """Product-rule weights of the face velocities normal to axis ``d``.
 
-    One ``ProductWeights`` per transverse axis.  When ``u_face`` does not
-    vary along ``d`` the weights are one broadcast row (length 1 along
-    ``d``).  A transverse axis whose weights are all exactly zero, as under
-    a constant velocity, is left out, so the flux there is exactly
+    One ``ProductWeights`` per transverse axis, in the ``compact`` shape of
+    ``u_face``: under rotation one broadcast row (length 1 along ``d``).
+    A transverse axis along which ``u_face`` does not vary is skipped,
+    since its differences are exactly zero there, and so is one whose
+    weights are all exactly zero; the flux there is exactly
     ``q_face * u_face``.
     """
     if order not in (2, 4, 6):
         raise ValueError(f"product rule order must be 2, 4 or 6, got {order}")
     if order == 2 or grid.dim == 1:
         return ()
-    row = u_face.take([0], axis=d)
-    u = row if np.all(u_face == row) else u_face
+    u = compact(u_face)
     out = []
     for t in range(grid.dim):
-        if t == d:
+        if t == d or u.shape[t] == 1:
             continue
         e1, e2, el = _differences(u, t)
         if order == 4:
@@ -180,6 +200,9 @@ class FaceFlow:
     mask ``positive`` of faces with u >= 0 (upstream cell on the left)
     and, only where there are no orientation blocks, its complement
     ``negative`` (None elsewhere).  ``face_flow`` builds it once per run.
+    Every array is in its ``compact`` shape and is read by broadcasting:
+    a constant flow holds only ``(1, 1)`` arrays, and rotation ``(1, n)``
+    ones for u_x and ``(n, 1)`` ones for u_y.
     """
 
     grid: object
@@ -192,22 +215,30 @@ class FaceFlow:
 
 def _upwind_blocks(u_faces):
     """Per axis the ``upwind_orientation`` blocks of the face velocities
-    and, only where there are none, the mask of faces with u < 0 (None
-    elsewhere)."""
+    and, only where there are none, the ``compact`` mask of faces with
+    u < 0 (None elsewhere)."""
     orientations = tuple(upwind_orientation(u, d) for d, u in enumerate(u_faces))
-    negative = tuple(u < 0.0 if o is None else None for o, u in zip(orientations, u_faces))
+    negative = tuple(compact(u < 0.0) if o is None else None
+                     for o, u in zip(orientations, u_faces))
     return orientations, negative
 
 
 def face_flow(u_faces, grid, order):
-    """The ``FaceFlow`` of per-axis face velocities for a product-rule order."""
+    """The ``FaceFlow`` of per-axis face velocities for a product-rule order.
+
+    ``u_faces`` may be whole face arrays or anything that broadcasts to
+    them, such as the broadcast views ``face_average_velocity`` returns;
+    each is kept in its ``compact`` shape, so for the constant and
+    rotation flows the flow holds no array of more than n entries.
+    """
+    u_faces = tuple(map(compact, u_faces))
     orientations, negative = _upwind_blocks(u_faces)
     return FaceFlow(
         grid,
-        tuple(u_faces),
+        u_faces,
         orientations,
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
-        tuple(u >= 0.0 for u in u_faces),
+        tuple(compact(u >= 0.0) for u in u_faces),
         negative,
     )
 
@@ -215,11 +246,14 @@ def face_flow(u_faces, grid, order):
 def crop_flow(flow, window):
     """The ``FaceFlow`` of a periodic window of the grid (``grid.Window``).
 
-    The face velocities and weights are basic-slice views where the window
-    is one block and block copies where it wraps round the grid; the
-    orientation blocks and ``negative`` masks are built from the cropped
-    velocities, as ``face_flow`` builds the grid's.  ``positive``, which
-    only the CTU fluxes read, is left out (None).
+    The face velocities and weights keep their compact shape: along an
+    axis of length 1 they are taken whole, along the others they are
+    basic-slice views where the window is one block and block copies
+    where it wraps round the grid, so a crop of the constant or rotation
+    flow copies at most a window's row.  The orientation blocks and
+    ``negative`` masks are built from the cropped velocities, as
+    ``face_flow`` builds the grid's.  ``positive``, which only the CTU
+    fluxes read, is left out (None).
     """
     def crop_weights(w):
         return ProductWeights(w.axis, *(None if a is None else window.view(a) for a in w[1:]))

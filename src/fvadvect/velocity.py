@@ -82,9 +82,15 @@ def make_velocity(kind, grid):
 def face_average_velocity(v, grid):
     """Per-dimension face arrays of the normal velocity component.
 
-    Exact for affine fields: the face average is the centroid value.
+    Exact for affine fields: the face average is the centroid value.  The
+    component is evaluated on the sparse face-centroid coordinates, each
+    of length 1 along every axis but its own, and returned as a read-only
+    view broadcast to the face shape: no whole-grid array is made.
     """
-    return tuple(v.component(d, grid.face_center_mesh(d)) for d in range(grid.dim))
+    return tuple(
+        np.broadcast_to(v.component(d, grid.face_center_mesh(d, sparse=True)), grid.shape)
+        for d in range(grid.dim)
+    )
 
 
 def cell_average_velocity(v, grid):

@@ -239,6 +239,18 @@ class TestValidation:
         assert code == 0
         assert any("stability bound" in str(w.message) for w in caught) == warns
 
+    def test_default_2d_run_passes_its_own_stability_check(self, tmp_path):
+        # run's 2D default sigma, 0.75, is below u9's 2D limit (0.7992);
+        # the 1D default stays 0.8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dim, sigma in ((2, 0.75), (1, 0.8)):
+                out = tmp_path / f"sol{dim}.csv"
+                code = main(["run", "--dim", str(dim), "--n", "32", "--t-final", "0.1",
+                             "--out", str(out)])
+                assert code == 0
+                assert float(read_metadata(out)["sigma"]) == sigma
+
     def test_sigma_whose_growth_overflows_warns(self):
         # |g| overflows to NaN at this sigma, which is as unstable as any
         # other growth above the bound; the run's one step is shrunk to

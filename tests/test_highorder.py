@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fvadvect.highorder import rk4_high_order_step, spatial_flux
 from fvadvect.loworder import low_order_update
 from fvadvect.schemes import (
     SCHEME_NAMES,
+    compact,
     default_product_order,
     face_flow,
     product_rule_flux,
@@ -16,6 +19,7 @@ from fvadvect.velocity import (
     ConstantDiagonal,
     SolidBodyRotation,
     face_average_velocity,
+    make_velocity,
 )
 
 
@@ -163,6 +167,82 @@ class TestProductRuleWeights:
         uf = face_average_velocity(ConstantDiagonal(components=(0.7, -1.3)), g)
         for order in (2, 4, 6):
             assert face_flow(uf, g, order).weights == ((), ())
+
+
+def flow_arrays(flow):
+    """Every array a ``FaceFlow`` holds."""
+    weights = (a for ws in flow.weights for w in ws for a in w[1:] if a is not None)
+    masks = (m for m in flow.negative if m is not None)
+    return [*flow.u_faces, *flow.positive, *masks, *weights]
+
+
+class TestCompactFlow:
+    """The flow keeps each velocity-only array in its compact shape, of
+    length 1 along every axis it does not vary along, and that shape
+    broadcasts back to the face arrays bit for bit."""
+
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    @pytest.mark.parametrize("dim", (1, 2))
+    def test_constant_flow_is_all_one_by_one(self, dim, order):
+        g = Grid(dim, 32)
+        uf = face_average_velocity(ConstantDiagonal(components=(0.7, -1.3)[:dim]), g)
+        flow = face_flow(uf, g, order)
+        assert all(a.shape == (1,) * dim for a in flow_arrays(flow))
+        assert flow.negative == (None,) * dim
+        assert [bool(p) for p in flow.positive] == [True, False][:dim]
+
+    @pytest.mark.parametrize("order", (2, 4, 6))
+    def test_rotation_is_a_row_and_a_column(self, order):
+        n = 32
+        g = Grid(2, n)
+        v = SolidBodyRotation()
+        flow = face_flow(face_average_velocity(v, g), g, order)
+        shapes = ((1, n), (n, 1))
+        for d, shape in enumerate(shapes):
+            assert flow.u_faces[d].shape == flow.positive[d].shape == shape
+            assert all(a.shape == shape for w in flow.weights[d] for a in w[1:] if a is not None)
+            whole = v.component(d, g.face_center_mesh(d))
+            assert np.broadcast_to(flow.u_faces[d], g.shape).tobytes() == whole.tobytes()
+            assert np.array_equal(np.broadcast_to(flow.positive[d], g.shape), whole >= 0.0)
+        assert flow.negative == (None, None)
+
+    def test_field_varying_along_both_axes_stays_whole(self):
+        g = Grid(2, 32)
+        x, y = g.face_center_mesh(0)
+        uf = (np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y), np.cos(2 * np.pi * (x + y)))
+        flow = face_flow(uf, g, 6)
+        for d in range(2):
+            assert flow.u_faces[d].shape == flow.negative[d].shape == g.shape
+            assert flow.u_faces[d].tobytes() == uf[d].tobytes()
+
+    def test_compact_compares_bits(self):
+        # 0.0 == -0.0, but the two are different velocities bit for bit
+        signed = np.array([[0.0, -0.0], [0.0, -0.0]])
+        assert compact(signed).shape == (1, 2)
+        assert compact(signed.T).shape == (2, 1)
+        assert compact(np.full((3, 4), np.nan)).shape == (1, 1)
+        whole = np.arange(6.0).reshape(2, 3)
+        assert compact(whole) is whole
+
+    @pytest.mark.parametrize("order", (4, 6))
+    @pytest.mark.parametrize("kind", ("constant", "rotation"))
+    def test_building_the_flow_makes_no_whole_grid_array(self, kind, order):
+        # a whole N = 256 float array is 512 KB, a boolean one 64 KB; the
+        # flow keeps at most n entries per array, and three weight rows
+        # per axis at order 6
+        n = 256
+        g = Grid(2, n)
+        v = make_velocity(kind, g)
+        face_flow(face_average_velocity(v, g), g, order)  # fills the slice-plan cache
+        tracemalloc.start()
+        try:
+            flow = face_flow(face_average_velocity(v, g), g, order)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(a.size <= n for a in flow_arrays(flow))
+        assert retained < (16 if order == 4 else 24) * 1024
+        assert peak < 64 * 1024
 
 
 class TestSpatialFlux:

@@ -15,6 +15,7 @@ import pytest
 from fvadvect import fct, loworder, schemes
 from fvadvect.grid import Grid, Workspace, flux_divergence
 from fvadvect.schemes import face_flow, scheme_coefficients
+from fvadvect.velocity import SolidBodyRotation, face_average_velocity
 
 
 # ---------------------------------------------------------------- references
@@ -444,6 +445,60 @@ class TestFctPhases:
         R_in[rng.random(g.shape) < 0.2] = -0.0
         got = fct.hybridize(A, R_in, R_out)
         assert_bitwise(got, ref_hybridize(A, R_in, R_out, g))
+
+
+# The flows the paper runs: a constant one (one component negative, so
+# both one-sign masks are read) and solid-body rotation, 2D only.
+COMPACT = [(1, "constant"), (2, "constant"), (2, "rotation")]
+
+
+def compact_case(dim, kind, order=2):
+    """Data, the whole face velocities of ``kind`` and the flow built from
+    them, which keeps them in their compact shapes."""
+    rng = np.random.default_rng(200 + dim)
+    g = Grid(dim, 16)
+    if kind == "constant":
+        u_faces = tuple(np.full(g.shape, c) for c in (0.7, -1.3)[:dim])
+    else:
+        u_faces = tuple(np.array(u) for u in face_average_velocity(SolidBodyRotation(), g))
+    flow = face_flow(u_faces, g, order)
+    assert all(u.size <= g.n for u in flow.u_faces)
+    qn = rough(rng, g.shape)
+    return g, rng, qn, qn + 0.1 * rough(rng, g.shape), u_faces, flow
+
+
+@pytest.mark.parametrize("dim, kind", COMPACT)
+class TestCompactVelocities:
+    """The kernels read the flow's compact velocities by broadcasting,
+    bitwise as the references read the whole ones."""
+
+    def test_ctu_fluxes(self, dim, kind):
+        g, _, qn, _, u_faces, flow = compact_case(dim, kind)
+        dt = 0.4 * g.h
+        assert_bitwise(loworder.ctu_fluxes(qn, flow, dt, Workspace(g)),
+                       ref_ctu_fluxes(qn, u_faces, dt, g))
+
+    @pytest.mark.parametrize("order", (4, 6))
+    def test_product_rule_flux(self, dim, kind, order):
+        g, rng, _, _, u_faces, flow = compact_case(dim, kind, order)
+        for d in range(g.dim):
+            q_face = rough(rng, g.shape)
+            assert_bitwise(schemes.product_rule_flux(q_face, flow, d),
+                           ref_product_rule_flux(q_face, u_faces[d], order, d, g))
+
+    def test_preconstrain(self, dim, kind):
+        g, rng, qn, q_td, u_faces, flow = compact_case(dim, kind)
+        d2q = ref_second_differences(qn)
+        A = tuple(0.05 * g.h * rough(rng, g.shape) for _ in range(g.dim))
+        dt = 0.4 * g.h
+        assert_bitwise(fct.preconstrain(A, q_td, d2q, flow.u_faces, dt, g.h),
+                       ref_preconstrain(A, q_td, d2q, u_faces, dt, g))
+
+    @pytest.mark.parametrize("sigma", (0.3, 0.9))
+    def test_compute_bounds(self, dim, kind, sigma):
+        g, _, qn, q_td, u_faces, flow = compact_case(dim, kind)
+        assert_bitwise(fct.compute_bounds(qn, q_td, flow.u_faces, sigma),
+                       ref_compute_bounds(qn, q_td, u_faces, sigma))
 
 
 def _no_roll(*args, **kwargs):
