@@ -113,9 +113,8 @@ class Workspace:
     antidiffusive flux) and a stage flux (then the CTU flux, then the
     returned etas).  ``face`` holds face values, ``scratch`` two arrays
     that no kernel keeps across calls, and ``active`` one boolean array
-    per axis: the high-order crop's cells, then the CTU fluxes' masks of
-    faces with u >= 0 (spread from the flow's compact masks), then the
-    limiter's active faces.
+    per axis: the high-order crop's cells, then the limiter's active
+    faces.
 
     The float buffers are consecutive blocks of one flat ``pool``, the
     frames at its two ends, so the pool less the frame a step reads is
@@ -288,15 +287,13 @@ def _plan(shape, d, mx, my):
     return main, wraps
 
 
-def neighbour_apply(ufunc, x, mx, y, my, d, out, where=True):
+def neighbour_apply(ufunc, x, mx, y, my, d, out):
     """``out[k] = ufunc(x[(k+mx) % n], y[(k+my) % n])`` along axis ``d``.
 
     ``x`` and ``y`` are C-contiguous arrays of ``out``'s shape or scalars
-    (read as they are, with shift 0); ``where`` is True or a mask of
-    ``out``'s shape, and ``out`` keeps its entries where the mask is
-    False.  For shifts ``|mx|, |my| < n`` and a C-contiguous ``out`` that
-    shares no memory with ``x`` or ``y`` (``x`` or ``y`` itself as ``out``
-    is rejected).  The slices depend only on the shape, the axis and the
+    (read as they are, with shift 0).  For shifts ``|mx|, |my| < n`` and a
+    C-contiguous ``out`` that shares no memory with ``x`` or ``y`` (``x``
+    or ``y`` itself as ``out`` is rejected).  The slices depend only on the shape, the axis and the
     shifts, and are cached per call signature.  One call on the flattened
     arrays, where a step along ``d`` is ``stride`` entries, covers every
     ``k`` whose reads need no wrap; along the last axis it also writes,
@@ -310,13 +307,11 @@ def neighbour_apply(ufunc, x, mx, y, my, d, out, where=True):
         raise ValueError("neighbour_apply cannot write over its operands")
     (so, sx, sy), wraps = _plan(out.shape, d, mx, my)
     ufunc(x.reshape(-1)[sx] if isinstance(x, np.ndarray) else x,
-          y.reshape(-1)[sy] if isinstance(y, np.ndarray) else y,
-          out=out.reshape(-1)[so],
-          where=where.reshape(-1)[so] if isinstance(where, np.ndarray) else where)
-    return fill_ghosts(ufunc, x, y, out, wraps, where)
+          y.reshape(-1)[sy] if isinstance(y, np.ndarray) else y, out=out.reshape(-1)[so])
+    return fill_ghosts(ufunc, x, y, out, wraps)
 
 
-def fill_ghosts(ufunc, x, y, out, wraps, where=True):
+def fill_ghosts(ufunc, x, y, out, wraps):
     """Write the entries of ``neighbour_apply``'s ``out`` whose reads wrap.
 
     ``wraps`` holds the ``(out, x, y)`` index tuples of each run of them:
@@ -326,8 +321,7 @@ def fill_ghosts(ufunc, x, y, out, wraps, where=True):
     """
     for so, sx, sy in wraps:
         ufunc(x[sx] if isinstance(x, np.ndarray) else x,
-              y[sy] if isinstance(y, np.ndarray) else y,
-              out=out[so], where=where[so] if isinstance(where, np.ndarray) else where)
+              y[sy] if isinstance(y, np.ndarray) else y, out=out[so])
     return out
 
 

@@ -9,6 +9,8 @@ cross-flow before donor-cell upwinding:
     F_d(face) = u_d(face) * q_tilde(donor cell of that face)
 
 In 1D the transverse sum is empty and the flux is plain donor-cell upwind.
+The donor cell is the one-point upwind stencil ``schemes.DONOR``, read in
+the run's upwind orientation like the high-order stencils.
 For constant coefficients the resulting update is the exact bilinear remap
 of the shifted solution, so it is monotone and stable for per-direction
 CFL numbers up to one, independent of dimensionality.
@@ -17,36 +19,28 @@ CFL numbers up to one, independent of dimensionality.
 import numpy as np
 
 from .grid import flux_divergence, neighbour_apply
+from .schemes import DONOR, face_interpolate
 
 
-def _donor_flux(q, u_face, positive, d, out):
-    """``u_face`` times the upstream cell of each face normal to ``d``.
-
-    ``positive``, of ``q``'s shape, marks the faces with ``u_face >= 0``,
-    whose upstream cell is the left one.  ``out`` takes a copy of ``q``,
-    then the left cell where ``positive`` is set (``x * 1.0 == x``), then
-    the product with ``u_face``, which may be any array that broadcasts
-    to ``q``.
-    """
-    np.copyto(out, q)
-    neighbour_apply(np.multiply, q, -1, 1.0, 0, d, out, where=positive)
-    out *= u_face
+def _donor_flux(q, flow, d, out, term, total):
+    """The face velocities normal to ``d`` times the upstream cell of each
+    face, the ``DONOR`` face value, written into ``out``; ``term`` and
+    ``total`` are ``face_interpolate``'s scratch."""
+    face_interpolate(q, DONOR, d, flow, out, term, total)
+    out *= flow.u_faces[d]
     return out
 
 
 def ctu_fluxes(qn, flow, dt, ws):
     """Per-dimension CTU face fluxes for one step of size ``dt``.
 
-    The face velocities and their masks of faces with u >= 0 come from
-    the run's ``FaceFlow``, in their compact shapes; the masks are spread
-    to the grid's shape in ``ws.active``, which is free until
-    ``limiter_window``.  The fluxes are written into the workspace's
-    ``flux``; the predicted state q_tilde is formed in
-    ``ws.next_frame(qn)``, which is free until the update.
+    The face velocities and upwind orientations come from the run's
+    ``FaceFlow``.  The fluxes are written into the workspace's ``flux``;
+    the predicted state q_tilde is formed in ``ws.next_frame(qn)``, which
+    is free until the update.  ``ws.face``, free until ``limiter_window``,
+    and the second ``scratch`` are the donor cells' scratch.
     """
-    grid, u_faces, positive = flow.grid, flow.u_faces, ws.active
-    for mask, compact_mask in zip(positive, flow.positive):
-        mask[...] = compact_mask
+    grid = flow.grid
     q_tilde = ws.next_frame(qn)
     upwind, diff = ws.scratch
     out = ws.flux
@@ -55,11 +49,11 @@ def ctu_fluxes(qn, flow, dt, ws):
         transverse.fill(0.0)
         for dp in range(grid.dim):
             if dp != d:
-                _donor_flux(qn, u_faces[dp], positive[dp], dp, upwind)
+                _donor_flux(qn, flow, dp, upwind, diff, ws.face)
                 transverse += neighbour_apply(np.subtract, upwind, 1, upwind, 0, dp, diff)
         transverse *= dt / (2.0 * grid.h)
         np.subtract(qn, transverse, out=q_tilde)
-        _donor_flux(q_tilde, u_faces[d], positive[d], d, out[d])
+        _donor_flux(q_tilde, flow, d, out[d], diff, ws.face)
     return out
 
 

@@ -59,6 +59,10 @@ _SCHEMES = {
 
 SCHEME_NAMES = tuple(_SCHEMES)
 
+# The upstream cell of each face, the first-order member of the upwind
+# family: corner transport upwind's donor cell.  Not a named scheme.
+DONOR = StencilScheme("donor", (0,), (1,), 1, 1, True)
+
 
 def scheme_coefficients(name):
     """Look up a stencil scheme by name (c4, u5, c6, u7, u9)."""
@@ -196,20 +200,18 @@ class FaceFlow:
     """What the face fluxes of one run need from the frozen velocity.
 
     The ``grid``, and per axis: the face velocities, their
-    ``upwind_orientation`` blocks, their ``product_rule_weights``, the
-    mask ``positive`` of faces with u >= 0 (upstream cell on the left)
-    and, only where there are no orientation blocks, its complement
-    ``negative`` (None elsewhere).  ``face_flow`` builds it once per run.
-    Every array is in its ``compact`` shape and is read by broadcasting:
-    a constant flow holds only ``(1, 1)`` arrays, and rotation ``(1, n)``
-    ones for u_x and ``(n, 1)`` ones for u_y.
+    ``upwind_orientation`` blocks, their ``product_rule_weights`` and,
+    only where there are no orientation blocks, the mask ``negative`` of
+    faces with u < 0 (None elsewhere).  ``face_flow`` builds it once per
+    run.  Every array is in its ``compact`` shape and is read by
+    broadcasting: a constant flow holds only ``(1, 1)`` arrays, and
+    rotation ``(1, n)`` ones for u_x and ``(n, 1)`` ones for u_y.
     """
 
     grid: object
     u_faces: tuple
     orientations: tuple
     weights: tuple
-    positive: tuple
     negative: tuple
 
 
@@ -238,7 +240,6 @@ def face_flow(u_faces, grid, order):
         u_faces,
         orientations,
         tuple(product_rule_weights(u, order, d, grid) for d, u in enumerate(u_faces)),
-        tuple(compact(u >= 0.0) for u in u_faces),
         negative,
     )
 
@@ -252,8 +253,7 @@ def crop_flow(flow, window):
     where it wraps round the grid, so a crop of the constant or rotation
     flow copies at most a window's row.  The orientation blocks and
     ``negative`` masks are built from the cropped velocities, as
-    ``face_flow`` builds the grid's.  ``positive``, which only the CTU
-    fluxes read, is left out (None).
+    ``face_flow`` builds the grid's.
     """
     def crop_weights(w):
         return ProductWeights(w.axis, *(None if a is None else window.view(a) for a in w[1:]))
@@ -261,7 +261,7 @@ def crop_flow(flow, window):
     u_faces = tuple(map(window.view, flow.u_faces))
     orientations, negative = _upwind_blocks(u_faces)
     weights = tuple(tuple(map(crop_weights, ws)) for ws in flow.weights)
-    return FaceFlow(flow.grid, u_faces, orientations, weights, None, negative)
+    return FaceFlow(flow.grid, u_faces, orientations, weights, negative)
 
 
 def _stencil_sum(q, scheme, d, mirrored, out, term):
@@ -270,11 +270,13 @@ def _stencil_sum(q, scheme, d, mirrored, out, term):
     Each stencil point is one ``neighbour_apply``, added in coefficient
     order to a sum that starts at 0.0.  The first point is formed in
     ``out`` itself and 0.0 added to it, which is ``0.0 + term`` bitwise
-    (IEEE addition commutes); the others in the scratch ``term``.
+    (IEEE addition commutes); the others in the scratch ``term``.  A
+    one-point stencil is its cell: nothing is added, so a -0.0 stays.
     """
     for i, (s, a) in enumerate(zip(scheme.offsets, scheme.coefficients)):
         neighbour_apply(np.multiply, q, -s if mirrored else s - 1, a, 0, d, term if i else out)
-        out += term if i else 0.0
+        if i or len(scheme.offsets) > 1:
+            out += term if i else 0.0
     return out
 
 

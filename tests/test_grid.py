@@ -147,16 +147,6 @@ class TestNeighbourReads:
                         want = np.roll(x, -mx, axis=d) - np.roll(y, -my, axis=d)
                         assert np.array_equal(got, want)
 
-    def test_neighbour_apply_where_keeps_masked_entries(self):
-        rng = np.random.default_rng(8)
-        x, mask = rng.random((16, 16)), rng.random((16, 16)) < 0.5
-        for d in (0, 1):
-            for m in (-5, -1, 4):
-                out = np.full((16, 16), -7.0)
-                neighbour_apply(np.multiply, x, m, 2.0, 0, d, out, where=mask)
-                want = np.where(mask, 2.0 * np.roll(x, -m, axis=d), -7.0)
-                assert np.array_equal(out, want)
-
     def test_neighbour_apply_rejects_unusable_output(self):
         # a strided output cannot be flattened in place, and writing over an
         # operand would corrupt the wrapped entries along the last axis

@@ -173,7 +173,7 @@ def flow_arrays(flow):
     """Every array a ``FaceFlow`` holds."""
     weights = (a for ws in flow.weights for w in ws for a in w[1:] if a is not None)
     masks = (m for m in flow.negative if m is not None)
-    return [*flow.u_faces, *flow.positive, *masks, *weights]
+    return [*flow.u_faces, *masks, *weights]
 
 
 class TestCompactFlow:
@@ -189,7 +189,6 @@ class TestCompactFlow:
         flow = face_flow(uf, g, order)
         assert all(a.shape == (1,) * dim for a in flow_arrays(flow))
         assert flow.negative == (None,) * dim
-        assert [bool(p) for p in flow.positive] == [True, False][:dim]
 
     @pytest.mark.parametrize("order", (2, 4, 6))
     def test_rotation_is_a_row_and_a_column(self, order):
@@ -199,11 +198,10 @@ class TestCompactFlow:
         flow = face_flow(face_average_velocity(v, g), g, order)
         shapes = ((1, n), (n, 1))
         for d, shape in enumerate(shapes):
-            assert flow.u_faces[d].shape == flow.positive[d].shape == shape
+            assert flow.u_faces[d].shape == shape
             assert all(a.shape == shape for w in flow.weights[d] for a in w[1:] if a is not None)
             whole = v.component(d, g.face_center_mesh(d))
             assert np.broadcast_to(flow.u_faces[d], g.shape).tobytes() == whole.tobytes()
-            assert np.array_equal(np.broadcast_to(flow.positive[d], g.shape), whole >= 0.0)
         assert flow.negative == (None, None)
 
     def test_field_varying_along_both_axes_stays_whole(self):

@@ -29,12 +29,14 @@ def ref_flux_divergence(g, fluxes, dt):
     return out
 
 
-def ref_ctu_fluxes(qn, u_faces, dt, g):
-    def donor(values, u_face, d):
-        return np.where(u_face >= 0.0, np.roll(values, 1, axis=d), values)
+def ref_donor(values, u_face, d):
+    """The upstream cell of each face: the left one where u >= 0."""
+    return np.where(u_face >= 0.0, np.roll(values, 1, axis=d), values)
 
+
+def ref_ctu_fluxes(qn, u_faces, dt, g):
     q = qn
-    upwind_flux = [u_faces[d] * donor(q, u_faces[d], d) for d in range(g.dim)]
+    upwind_flux = [u_faces[d] * ref_donor(q, u_faces[d], d) for d in range(g.dim)]
     out = []
     for d in range(g.dim):
         transverse = np.zeros(g.shape)
@@ -44,7 +46,7 @@ def ref_ctu_fluxes(qn, u_faces, dt, g):
             G = upwind_flux[dp]
             transverse += np.roll(G, -1, axis=dp) - G
         q_tilde = q - (dt / (2.0 * g.h)) * transverse
-        out.append(u_faces[d] * donor(q_tilde, u_faces[d], d))
+        out.append(u_faces[d] * ref_donor(q_tilde, u_faces[d], d))
     return tuple(out)
 
 
@@ -337,19 +339,22 @@ class TestGridAndLowOrder:
 
 class TestSchemes:
     @pytest.mark.parametrize("kind", VELOCITIES)
-    @pytest.mark.parametrize("name", ("c4", "u5", "c6", "u7", "u9"))
+    @pytest.mark.parametrize("name", ("c4", "u5", "c6", "u7", "u9", "donor"))
     def test_face_interpolate(self, state, kind, name):
         g, rng, qn, _ = state
         u_faces = face_velocities(rng, g, kind)
         flow = face_flow(u_faces, g, 2)
         blocks = {"uniform": 1, "across": 2 if g.dim == 2 else None, "mixed": None}[kind]
-        s = scheme_coefficients(name)
+        s = schemes.DONOR if name == "donor" else scheme_coefficients(name)
         for d in range(g.dim):
             assert (flow.orientations[d] and len(flow.orientations[d])) == blocks
-            assert_bitwise(
-                schemes.face_interpolate(qn, s, d, flow),
-                ref_face_interpolate(qn, s, d, u_faces[d]),
-            )
+            got = schemes.face_interpolate(qn, s, d, flow)
+            if s is schemes.DONOR:
+                # the donor cell is copied as it is, signed zeros included
+                assert_bitwise(got, ref_donor(qn, u_faces[d], d))
+                assert np.any(np.signbit(got) & (got == 0.0))
+            else:
+                assert_bitwise(got, ref_face_interpolate(qn, s, d, u_faces[d]))
 
     @pytest.mark.parametrize("kind", VELOCITIES)
     @pytest.mark.parametrize("order", (2, 4, 6))

@@ -5,6 +5,7 @@ import pytest
 
 from fvadvect.grid import Grid
 from fvadvect.schemes import (
+    DONOR,
     SCHEME_NAMES,
     Orientation,
     default_product_order,
@@ -48,8 +49,10 @@ class TestCoefficientTables:
         assert scheme_coefficients("u9").offsets == tuple(range(-4, 5))
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            scheme_coefficients("u11")
+        # CTU's one-point donor stencil is internal: no option or lookup names it
+        for name in ("u11", DONOR.name):
+            with pytest.raises(ValueError):
+                scheme_coefficients(name)
 
     def test_product_order_pairing(self):
         assert default_product_order(scheme_coefficients("c4")) == 4

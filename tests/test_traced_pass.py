@@ -108,9 +108,9 @@ def test_wrap_patch_writes_exactly_the_wrapped_entries(monkeypatch, d, m):
     written = []
     patch = grid.fill_ghosts
 
-    def counted(ufunc, x, y, out, wraps, where=True):
+    def counted(ufunc, x, y, out, wraps):
         written.extend(int(np.prod(out[region].shape)) for region, _, _ in wraps)
-        return patch(ufunc, x, y, out, wraps, where)
+        return patch(ufunc, x, y, out, wraps)
 
     monkeypatch.setattr(grid, "fill_ghosts", counted)
     q = np.random.default_rng(13).standard_normal((N, N))
