@@ -59,14 +59,20 @@ CROP_MULTIPLE = 16
 LIMITER_REACH = 6
 
 
-def second_differences(q):
-    """Per-axis centered second differences of a periodic array."""
-    twice = np.multiply(2.0, q)
-    out = []
-    for d in range(q.ndim):
-        d2 = neighbour_apply(np.subtract, q, 1, twice, 0, d, np.empty(q.shape))
-        out.append(neighbour_apply(np.add, d2, 0, q, -1, d, np.empty(q.shape)))
-    return tuple(out)
+def _outputs(out, count, shape):
+    """``out``, or ``count`` fresh arrays of ``shape`` where it is None."""
+    return tuple(np.empty(shape) for _ in range(count)) if out is None else tuple(out)
+
+
+def second_differences(q, out=None):
+    """Per-axis centered second differences of a periodic array, written
+    into the arrays of ``out`` (fresh ones by default)."""
+    out = _outputs(out, q.ndim, q.shape)
+    twice, buf = np.multiply(2.0, q), np.empty(q.shape)
+    for d, d2 in enumerate(out):
+        neighbour_apply(np.subtract, q, 1, twice, 0, d, buf)
+        neighbour_apply(np.add, buf, 0, q, -1, d, d2)
+    return out
 
 
 def antidiffusive(F_high, F_low, out=None):
@@ -79,7 +85,7 @@ def antidiffusive(F_high, F_low, out=None):
     return tuple(np.subtract(fh, fl, out=o) for fh, fl, o in zip(F_high, F_low, out))
 
 
-def preconstrain(A, q_td, d2q, u_faces, dt, h):
+def preconstrain(A, q_td, d2q, u_faces, dt, h, out=None):
     """Zero antidiffusive fluxes that would steepen a detected discontinuity.
 
     A face is zeroed only when all three hold:
@@ -93,20 +99,23 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h):
 
     ``u_faces`` may be in their compact shape: |u| is formed at the
     window's shape, so the in-place chain of the dissipation keeps it.
+    The fluxes are written into the arrays of ``out`` (fresh ones by
+    default), which may be ``A`` itself.
     """
-    out = []
-    for d in range(q_td.ndim):
+    out = _outputs(out, q_td.ndim, q_td.shape)
+    buf, kink, dissipation = (np.empty(q_td.shape) for _ in range(3))
+    for d, o in enumerate(out):
         Ad = A[d]
         d2 = d2q[d]  # shifts -2, -1, 0, 1 are cells i-1, i, i+1, i+2
         # q_td(i+1) - q_td(i) at face k
-        buf = neighbour_apply(np.subtract, q_td, 0, q_td, -1, d, np.empty(q_td.shape))
+        neighbour_apply(np.subtract, q_td, 0, q_td, -1, d, buf)
         buf *= Ad
         zeroed = buf <= 0.0  # downgradient
-        kink = neighbour_apply(np.multiply, d2, 0, d2, -1, d, np.empty(q_td.shape))
+        neighbour_apply(np.multiply, d2, 0, d2, -1, d, kink)
         np.minimum(kink, neighbour_apply(np.multiply, d2, -1, d2, -2, d, buf), out=kink)
         np.minimum(kink, neighbour_apply(np.multiply, d2, 0, d2, 1, d, buf), out=kink)
         zeroed &= kink < 0.0
-        dissipation = np.abs(np.broadcast_to(u_faces[d], q_td.shape))
+        np.abs(np.broadcast_to(u_faces[d], q_td.shape), out=dissipation)
         np.multiply(dissipation, dt, out=buf)
         buf /= h
         np.subtract(1.0, buf, out=buf)  # 1 - sigma_face
@@ -116,8 +125,10 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h):
         dissipation *= np.abs(neighbour_apply(np.add, d2, -1, d2, 0, d, buf), out=buf)
         dissipation /= 2.0
         zeroed &= np.abs(Ad, out=buf) <= dissipation
-        out.append(np.where(zeroed, 0.0, Ad))
-    return tuple(out)
+        if o is not Ad:
+            np.copyto(o, Ad)
+        np.copyto(o, 0.0, where=zeroed)
+    return out
 
 
 def _line_extremes(c, radius, reducer, axis):
@@ -165,23 +176,23 @@ def bounds_stencil_size(u_faces, sigma):
     return np.where(sigma * speed >= 0.5, 2, 1)
 
 
-def compute_bounds(qn, q_td, u_faces, sigma):
+def compute_bounds(qn, q_td, u_faces, sigma, out=None):
     """Windowed bounds from both the old and transported-diffused states.
 
     Returns ``(q_max, q_min)`` over the [2s+1]^dim block around each
     cell, s from ``bounds_stencil_size`` of the face velocities
     ``u_faces`` (which may be compact: s is read by broadcasting), with
-    q_n and q_td together as the candidates.
+    q_n and q_td together as the candidates.  They are written into the
+    two arrays of ``out`` (fresh ones by default).
     """
-    hi = np.maximum(qn, q_td)
-    lo = np.minimum(qn, q_td)
+    out = _outputs(out, 2, qn.shape)
     wide = bounds_stencil_size(u_faces, sigma) == 2
-    q_max, wide_max = _box_extremes(hi, 2, np.maximum)
-    np.copyto(q_max, wide_max, where=wide)
-    del wide_max
-    q_min, wide_min = _box_extremes(lo, 2, np.minimum)
-    np.copyto(q_min, wide_min, where=wide)
-    return q_max, q_min
+    for reducer, bound in zip((np.maximum, np.minimum), out):
+        narrow, broad = _box_extremes(reducer(qn, q_td), 2, reducer)
+        np.copyto(narrow, broad, where=wide)
+        np.copyto(bound, narrow)
+        del narrow, broad  # before the next bound's boxes
+    return out
 
 
 def _directional_extremum_tests(q_td):
@@ -193,18 +204,19 @@ def _directional_extremum_tests(q_td):
     constant: the 3-point line along the dimension is flat to roundoff.
     """
     smooth, constant = [], []
-    c, shape = q_td, q_td.shape
+    c = q_td
+    dq, prod, buf, total = (np.empty(c.shape) for _ in range(4))
     for d in range(c.ndim):
-        dq = neighbour_apply(np.subtract, c, 0, c, -1, d, np.empty(shape))  # q(i) - q(i-1)
-        prod = neighbour_apply(np.multiply, dq, 0, dq, 1, d, np.empty(shape))
-        buf = neighbour_apply(np.multiply, dq, -1, dq, 2, d, np.empty(shape))
+        neighbour_apply(np.subtract, c, 0, c, -1, d, dq)  # q(i) - q(i-1)
+        neighbour_apply(np.multiply, dq, 0, dq, 1, d, prod)
+        neighbour_apply(np.multiply, dq, -1, dq, 2, d, buf)
         flips = np.minimum(prod, buf, out=prod) <= 0.0
         dqtot = np.abs(neighbour_apply(np.subtract, c, 2, c, -2, d, buf), out=buf)
         dqtot *= TV_SAFETY_FACTOR
         abs_dq = np.abs(dq, out=dq)
         tv = neighbour_apply(np.add, abs_dq, 2, abs_dq, 1, d, prod)
         tv += abs_dq
-        tv = neighbour_apply(np.add, tv, 0, abs_dq, -1, d, np.empty(shape))
+        tv = neighbour_apply(np.add, tv, 0, abs_dq, -1, d, total)
         smooth.append(flips & (dqtot < tv))
         line_max = neighbour_apply(np.maximum, c, -1, c, 0, d, buf)
         line_max = neighbour_apply(np.maximum, line_max, 0, c, 1, d, tv)
@@ -260,7 +272,7 @@ def _limited_curvature(d2, axis):
     return out
 
 
-def extremum_bound_correction(flags, qn, d2q, q_max, scale):
+def extremum_bound_correction(flags, qn, d2q, q_max, scale, out=None):
     """The upper bound relaxed at flagged cells using a local parabola.
 
     Per dimension, the parabola through the three old-time cell values is
@@ -283,6 +295,9 @@ def extremum_bound_correction(flags, qn, d2q, q_max, scale):
     bound itself.  The asymmetry means smooth minima are not protected
     from clipping the way maxima are, and it is what makes undershoot
     growth below the running window floor structurally impossible.
+
+    The bound is written into ``out`` (a fresh array by default), which
+    may be ``q_max`` itself.
     """
     c = qn
     floor = CURVATURE_FLOOR_REL * scale
@@ -290,38 +305,49 @@ def extremum_bound_correction(flags, qn, d2q, q_max, scale):
     margin = np.zeros(c.shape)
     any_concave = np.zeros(c.shape, dtype=bool)
     for d in range(c.ndim):
-        d2lim = _limited_curvature(d2q[d], d)
-        slope = neighbour_apply(np.subtract, c, 1, c, -1, d, np.empty(c.shape))
-        slope *= 0.5
-        buf = np.abs(d2lim)
-        usable = buf > floor
-        denom = np.multiply(2.0, d2lim, out=buf)
-        np.copyto(denom, 1.0, where=~usable)
-        xc = np.negative(slope)
-        xc /= denom
-        np.copyto(xc, 0.0, where=~usable)
-        np.clip(xc, -0.5, 0.5, out=xc)
-        q_ext = np.multiply(0.5, d2lim, out=buf)
-        q_ext *= xc
-        q_ext *= xc
-        slope *= xc
-        q_ext += slope
-        q_ext += c
-        q_ext -= np.divide(d2lim, 24.0, out=slope)
-        concave = usable & (d2lim <= 0.0)
-        np.copyto(q_ext, -np.inf, where=~concave)
-        np.maximum(ext_hi, q_ext, out=ext_hi)
-        curvature = np.abs(d2lim, out=d2lim)
-        np.copyto(curvature, 0.0, where=~concave)
-        np.maximum(margin, curvature, out=margin)
-        any_concave |= concave
+        _fold_axis_extremum(c, d2q[d], d, floor, ext_hi, margin, any_concave)
     grow = np.subtract(ext_hi, c, out=ext_hi)
     grow *= EXTREMUM_GROWTH_FACTOR
     np.maximum(0.0, grow, out=grow)
     grow += c
     np.minimum(grow, np.add(q_max, margin, out=margin), out=grow)
     np.maximum(q_max, grow, out=grow)
-    return np.where(flags & any_concave, grow, q_max)
+    out = np.empty(c.shape) if out is None else out
+    if out is not q_max:
+        np.copyto(out, q_max)
+    np.copyto(out, grow, where=flags & any_concave)
+    return out
+
+
+def _fold_axis_extremum(c, d2, axis, floor, ext_hi, margin, any_concave):
+    """One axis of ``extremum_bound_correction``, folded in place into its
+    running extremum estimate ``ext_hi``, curvature ``margin`` and
+    ``any_concave``; the axis's own arrays are released on return."""
+    d2lim = _limited_curvature(d2, axis)
+    slope = neighbour_apply(np.subtract, c, 1, c, -1, axis, np.empty(c.shape))
+    slope *= 0.5
+    buf = np.abs(d2lim)
+    usable = buf > floor
+    denom = np.multiply(2.0, d2lim, out=buf)
+    np.copyto(denom, 1.0, where=~usable)
+    xc = np.negative(slope)
+    xc /= denom
+    np.copyto(xc, 0.0, where=~usable)
+    np.clip(xc, -0.5, 0.5, out=xc)
+    q_ext = np.multiply(0.5, d2lim, out=buf)
+    q_ext *= xc
+    q_ext *= xc
+    slope *= xc
+    q_ext += slope
+    q_ext += c
+    q_ext -= np.divide(d2lim, 24.0, out=slope)
+    concave = usable & (d2lim <= 0.0)
+    np.copyto(q_ext, -np.inf, where=~concave)
+    np.maximum(ext_hi, q_ext, out=ext_hi)
+    curvature = np.abs(d2lim, out=d2lim)
+    np.copyto(curvature, 0.0, where=~concave)
+    np.maximum(margin, curvature, out=margin)
+    any_concave |= concave
 
 
 def laplacian_flags(d2q, h, q_td):
@@ -362,25 +388,29 @@ def laplacian_flags(d2q, h, q_td):
     return oscillating & lap_pos & lap_neg
 
 
-def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h):
+def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h, out=None):
     """Least-upper-bound multipliers for the antidiffusive correction.
 
     P gathers the antidiffusive flux into (+) and out of (-) each cell, Q
     measures the headroom to the bound scaled by h/dt, and R caps their
     ratio at one (zero where no inflow/outflow, and zero at flagged cells).
+    ``(R_in, R_out)`` are written into the two arrays of ``out`` (fresh
+    ones by default), which may be ``(q_max, q_min)`` themselves.
     """
     P_in = np.zeros(q_td.shape)
     P_out = np.zeros(q_td.shape)
-    buf = np.empty(q_td.shape)
+    buf, into, out_of = (np.empty(q_td.shape) for _ in range(3))
     for d in range(q_td.ndim):
-        into = np.maximum(A[d], 0.0)
-        out_of = np.minimum(A[d], 0.0)
+        np.maximum(A[d], 0.0, out=into)
+        np.minimum(A[d], 0.0, out=out_of)
         # shift 0 is the cell's left face and shift 1 its right face
         P_in += neighbour_apply(np.subtract, into, 0, out_of, 1, d, buf)
         P_out += neighbour_apply(np.subtract, into, 1, out_of, 0, d, buf)
-    del into, out_of
-    rates = []
-    for P, R in ((P_in, np.subtract(q_max, q_td)), (P_out, np.subtract(q_td, q_min))):
+    del buf, into, out_of
+    R_in, R_out = _outputs(out, 2, q_td.shape)
+    np.subtract(q_max, q_td, out=R_in)
+    np.subtract(q_td, q_min, out=R_out)
+    for P, R in ((P_in, R_in), (P_out, R_out)):
         active = P > 0.0
         np.copyto(P, 1.0, where=~active)
         R *= h / dt  # Q
@@ -388,27 +418,26 @@ def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h):
         np.minimum(1.0, R, out=R)
         active &= ~flagged
         np.copyto(R, 0.0, where=~active)
-        rates.append(R)
-    return tuple(rates)
+    return R_in, R_out
 
 
-def hybridize(A, R_in, R_out):
+def hybridize(A, R_in, R_out, out=None):
     """Per-face hybridization coefficients, the most restrictive choice.
 
     A positive antidiffusive flux raises the right cell and lowers the left
     one, so it is capped by min(R_in(right), R_out(left)); the opposite
     orientation swaps the roles.  Faces with A == 0 take the second branch,
-    where the value is irrelevant.
+    where the value is irrelevant.  The coefficients are written into the
+    arrays of ``out`` (fresh ones by default).
     """
-    etas = []
+    out = _outputs(out, R_in.ndim, R_in.shape)
     raising = np.empty(R_in.shape)
-    for d in range(R_in.ndim):
+    for d, eta in enumerate(out):
         # shift 0 is a face's right cell and shift -1 its left cell
-        eta = neighbour_apply(np.minimum, R_in, -1, R_out, 0, d, np.empty(R_in.shape))
+        neighbour_apply(np.minimum, R_in, -1, R_out, 0, d, eta)
         neighbour_apply(np.minimum, R_in, 0, R_out, -1, d, raising)
         np.copyto(eta, raising, where=A[d] > 0.0)
-        etas.append(eta)
-    return tuple(etas)
+    return out
 
 
 def limiter_window(A, dt, h, scale, scratch, active):
@@ -482,9 +511,12 @@ def fct_advance(qn, flow, dt, sigma, scheme, ws, limiter="on"):
     face the step returns the transported-diffused state.
 
     Every whole-grid array of the step is a buffer of ``ws``, the run's
-    ``Workspace``.  ``qn`` is only read; ``q_new`` is ``ws.next_frame(qn)``
-    and the whole-grid ``etas`` are ``ws.flux``, so both stay valid until
-    the next step with the same workspace.
+    ``Workspace``, and so is every window array that lives from one
+    limiter phase to the next (``Workspace.window_buffers``, carved from
+    ``ws.face`` and ``ws.scratch`` where they fit).  ``qn`` is only read;
+    ``q_new`` is ``ws.next_frame(qn)`` and the whole-grid ``etas`` are
+    ``ws.flux``, so both stay valid until the next step with the same
+    workspace.
     """
     if limiter not in LIMITER_MODES:
         raise ValueError(
@@ -510,29 +542,35 @@ def fct_advance(qn, flow, dt, sigma, scheme, ws, limiter="on"):
     window = limiter_window(A, dt, h, scale, ws.face, ws.active)
     if window is None:
         return q_td, etas
-    qn_w, td_w, A_w = window(qn), window(q_td), tuple(map(window, A))
+    # d2q per axis, q_max, q_min and, unless the window is the whole grid
+    # (which is read in place), the window's copies of qn, q_td and A;
+    # later results take storage that is dead by then
+    dim, grid_arrays = qn.ndim, (qn, q_td, *A)
+    buffers = ws.window_buffers(window.shape, dim + 2 + (0 if window.whole else 2 + dim))
+    d2q, (q_max, q_min), copies = buffers[:dim], buffers[dim:dim + 2], buffers[dim + 2:]
+    qn_w, td_w, *A_w = map(window, grid_arrays, copies) if copies else grid_arrays
     u_w = tuple(map(window.view, flow.u_faces))
-    d2q = second_differences(qn_w)
-    A_w = preconstrain(A_w, td_w, d2q, u_w, dt, h)
-    q_max, q_min = compute_bounds(qn_w, td_w, u_w, sigma)
+    second_differences(qn_w, out=d2q)
+    A_w = preconstrain(A_w, td_w, d2q, u_w, dt, h, out=A_w)
+    compute_bounds(qn_w, td_w, u_w, sigma, out=(q_max, q_min))
     flags = smooth_extremum_flags(td_w) & smooth_extremum_flags(qn_w)
-    q_max = extremum_bound_correction(flags, qn_w, d2q, q_max, scale)
+    extremum_bound_correction(flags, qn_w, d2q, q_max, scale, out=q_max)
     oscillating = flags & laplacian_flags(d2q, h, td_w)
-    R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h)
-    # the limited antidiffusion on the window: eta * A at the core faces,
-    # zero elsewhere, as it is on the rest of the grid
-    limited = []
-    for a_w, eta, eta_w in zip(A_w, etas, hybridize(A_w, R_in, R_out)):
-        corrected = np.zeros(a_w.shape)
+    R_in, R_out = compute_pqr(A_w, td_w, q_max, q_min, oscillating, dt, h, out=(q_max, q_min))
+    # the limited antidiffusion on the window, in A_w: eta * A at the
+    # core faces, zero elsewhere, as it is on the rest of the grid
+    for a_w, eta, eta_w in zip(A_w, etas, hybridize(A_w, R_in, R_out, out=d2q)):
         for in_grid, in_window in window.core:
             core_eta = eta_w[in_window]
             if not np.all((core_eta >= 0.0) & (core_eta <= 1.0)):
                 raise AssertionError("hybridization coefficient left [0, 1]")
             eta[in_grid] = core_eta
-            np.multiply(a_w[in_window], core_eta, out=corrected[in_window])
-        limited.append(corrected)
+            core_eta *= a_w[in_window]
+        a_w.fill(0.0)
+        for _, in_window in window.core:
+            a_w[in_window] = eta_w[in_window]
     # q_td's storage is free once the bounds are built; cells outside the
     # window keep q_td, and inside it each cell sees the same sum as on
     # the whole grid
-    window.subtract(q_td, flux_divergence(grid, limited, dt))
+    window.subtract(q_td, flux_divergence(grid, A_w, dt, R_in, R_out))
     return q_td, etas

@@ -114,12 +114,14 @@ class Workspace:
     returned etas).  ``face`` holds face values, ``scratch`` two arrays
     that no kernel keeps across calls, and ``active`` one boolean array
     per axis: the high-order crop's cells, then the limiter's active
-    faces.
+    faces.  From ``limiter_window`` to the end of a limited step,
+    ``face`` and ``scratch`` also hold the limiter's window arrays
+    (``window_buffers``).
 
     The float buffers are consecutive blocks of one flat ``pool``, the
     frames at its two ends, so the pool less the frame a step reads is
     one run of memory: ``crop`` carves the buffers of a smaller grid
-    from it.
+    from it.  ``face`` and the two ``scratch`` are one run too.
     """
 
     def __init__(self, grid):
@@ -170,6 +172,21 @@ class Workspace:
         ws._lay_out(self.pool[lo:hi], shape, backwards=True)
         ws.pool, ws.active = None, None
         return ws
+
+    def window_buffers(self, shape, count):
+        """``count`` C-contiguous float arrays of ``shape``, laid out in
+        turn in the run ``face``, ``scratch[0]``, ``scratch[1]`` of the
+        pool, or in one fresh block where they do not fit.
+
+        The limiter's window arrays live there: nothing else reads or
+        writes that run from ``limiter_window`` to the end of the step.
+        Needs the run's own workspace (a ``crop`` has no pool).
+        """
+        size, grid_size = math.prod(shape), self.face.size
+        start = (1 + 2 * self.face.ndim) * grid_size  # see _lay_out
+        run = self.pool[start:start + (1 + len(self.scratch)) * grid_size]
+        flat = run if count * size <= run.size else np.empty(count * size)
+        return [flat[k * size:(k + 1) * size].reshape(shape) for k in range(count)]
 
 
 class Window:

@@ -166,7 +166,7 @@ def test_curvature_floor_takes_the_whole_grid_scale(monkeypatch):
     seen = []
     correction = fct.extremum_bound_correction
     monkeypatch.setattr(fct, "extremum_bound_correction",
-                        lambda *args: seen.append(args) or correction(*args))
+                        lambda *args, **kw: seen.append(args) or correction(*args, **kw))
     g, qn, flow = setup(2, "inside")
     fct.fct_advance(qn, flow, 0.4 * g.h, 0.4, SCHEME, Workspace(g))
     ((_, qn_window, _, _, scale),) = seen

@@ -1,13 +1,15 @@
 """The per-run workspace: same bytes as fresh buffers, no shared state,
-and no whole-grid allocation in a steady-state unlimited or CTU step."""
+no whole-grid allocation in a steady-state unlimited or CTU step, and the
+limiter's window arrays in the step's idle buffers."""
 
+import math
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fvadvect import driver
+from fvadvect import driver, fct
 from fvadvect.fct import fct_advance
 from fvadvect.grid import Grid, Workspace
 from fvadvect.problems import initial_condition, standard_problem
@@ -31,6 +33,20 @@ PROBLEMS = ((1, 48, "square", "constant"), (2, 32, "slotted", "rotation"))
 SCHEME = "u9"
 SIGMA = 0.7
 STEPS = 6
+# A 2D problem whose limiter window is small enough for its buffers to be
+# carved from the workspace.
+SMALL_WINDOW = (2, 256, "slotted", "rotation")
+# Traced heap growth of a limited step, in arrays of its window.  The
+# window arrays kept from one limiter phase to the next (qn, q_td, A and
+# d2q per axis, q_max, q_min: 8 in 2D) come from the workspace, and the
+# largest phase's own temporaries take about 7; with the named ones on the
+# heap the step grows by more than 18.
+WINDOW_GROWTH = 10
+
+
+def named_window_buffers(dim):
+    """The limiter's window buffers: qn, q_td, A and d2q per axis, q_max, q_min."""
+    return 2 * dim + 4
 
 
 def setup(dim, n, ic, vel):
@@ -54,15 +70,24 @@ def integrated_fields(g, v, q0, t_final, on_step=None, **kw):
     return fields
 
 
-@pytest.mark.parametrize("kw", MODES, ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
-@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: f"{p[0]}d")
-def test_integrate_matches_fresh_buffers_every_step(monkeypatch, problem, kw):
-    g, v, q0, t_final = setup(*problem)
+def apply_mode(monkeypatch, kw):
+    """Patch in the ``MODES`` entry ``kw``; returns its limiter mode."""
     if "force_eta" in kw:
         force_eta(monkeypatch, kw["force_eta"])
     if "preconstraint" in kw:
         skip_preconstraint(monkeypatch)
-    limiter = kw.get("limiter", "on")
+    return kw.get("limiter", "on")
+
+
+def mode_id(kw):
+    return "-".join(f"{k}={v}" for k, v in kw.items())
+
+
+@pytest.mark.parametrize("kw", MODES, ids=mode_id)
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: f"{p[0]}d")
+def test_integrate_matches_fresh_buffers_every_step(monkeypatch, problem, kw):
+    g, v, q0, t_final = setup(*problem)
+    limiter = apply_mode(monkeypatch, kw)
     got = integrated_fields(g, v, q0, t_final, limiter=limiter)
     # the same steps, each fct_advance call given a fresh workspace
     s = scheme_coefficients(SCHEME)
@@ -78,6 +103,56 @@ def test_integrate_matches_fresh_buffers_every_step(monkeypatch, problem, kw):
         t += step_dt
         assert field.tobytes() == q.tobytes(), f"step {step}"
     assert not np.array_equal(got[0], q0)
+
+
+def poison(ws):
+    """Fill the buffers a step may not read before it writes them:
+    ``face`` and ``scratch`` with NaN, ``active`` with True."""
+    for buf in (ws.face, *ws.scratch):
+        buf.fill(np.nan)
+    for mask in ws.active:
+        mask.fill(True)
+
+
+def check_poisoned_steps(monkeypatch, problem, kw, steps):
+    """Each of ``steps`` steps on a workspace poisoned before every step
+    gives the bytes of the same step on a fresh workspace."""
+    g, v, q0, _ = setup(*problem)
+    limiter = apply_mode(monkeypatch, kw)
+    s = scheme_coefficients(SCHEME)
+    flow = face_flow(face_average_velocity(v, g), g, default_product_order(s))
+    dt = SIGMA * g.h / max_speed(v, g)
+    ws, q = Workspace(g), q0
+    for step in range(1, steps + 1):
+        fresh_q, fresh_etas = fct_advance(q, flow, dt, SIGMA, s, Workspace(g), limiter)
+        poison(ws)
+        q, etas = fct_advance(q, flow, dt, SIGMA, s, ws, limiter)
+        assert q.tobytes() == fresh_q.tobytes(), f"step {step}"
+        assert (etas is None) == (fresh_etas is None)
+        for eta, fresh in zip(etas or (), fresh_etas or ()):
+            assert eta.tobytes() == fresh.tobytes(), f"step {step}"
+
+
+@pytest.mark.parametrize("kw", MODES, ids=mode_id)
+@pytest.mark.parametrize("problem", PROBLEMS, ids=lambda p: f"{p[0]}d")
+def test_poisoned_idle_buffers_change_no_step(monkeypatch, problem, kw):
+    """No buffer is read before it is written, and no two of the step's
+    roles share storage."""
+    check_poisoned_steps(monkeypatch, problem, kw, STEPS)
+
+
+def test_poisoned_idle_buffers_change_no_small_window_step(monkeypatch):
+    """The same with the limiter's window buffers carved from ``face`` and
+    ``scratch``."""
+    windows = []
+    window = fct.limiter_window
+    monkeypatch.setattr(fct, "limiter_window",
+                        lambda *a: windows.append(window(*a)) or windows[-1])
+    check_poisoned_steps(monkeypatch, SMALL_WINDOW, {"limiter": "on"}, 3)
+    dim, n = SMALL_WINDOW[:2]
+    # every window, the fresh steps' and the poisoned ones', fits
+    assert windows and all(
+        named_window_buffers(dim) * math.prod(w.shape) <= 3 * n ** dim for w in windows)
 
 
 def test_step_reads_qn_and_writes_the_other_frame():
@@ -188,6 +263,58 @@ def test_steady_step_allocates_no_whole_grid_array(vel, limiter):
         tracemalloc.stop()
     assert len(growth) == 3
     assert max(growth) < grid_bytes, growth
+
+
+def test_limited_step_keeps_its_window_arrays_off_the_heap(monkeypatch):
+    """Traced allocation during a limited step above the level before it
+    stays below WINDOW_GROWTH arrays of the step's limiter window."""
+    g, v, q0, _ = setup(*SMALL_WINDOW)
+    t_final = 5 * SIGMA * g.h / max_speed(v, g)
+    sizes, window = [], fct.limiter_window
+
+    def spy(*args):
+        w = window(*args)
+        sizes.append(math.prod(w.shape) * 8)
+        return w
+
+    monkeypatch.setattr(fct, "limiter_window", spy)
+    start, growth = [None], []
+
+    def on_step(step, t, q):
+        if step >= 2:
+            current, peak = tracemalloc.get_traced_memory()
+            if start[0] is not None:
+                growth.append((peak - start[0]) / sizes[step - 1])
+            start[0] = current
+            tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        driver.integrate(q0, v, g, SCHEME, SIGMA, t_final, on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    assert len(growth) == 3  # steps 3 to 5
+    assert max(growth) < WINDOW_GROWTH, growth
+
+
+@pytest.mark.parametrize("dim, fits", ((1, 16), (2, 19)))
+def test_window_buffers_fill_the_idle_run(dim, fits):
+    """The limiter's window buffers that fit in ``face`` and ``scratch``
+    are carved from them, sharing no memory with the frames, ``flux_high``,
+    ``flux`` or each other; with one cell more per axis they come from a
+    fresh block."""
+    g = Grid(dim, 32)
+    ws = Workspace(g)
+    count = named_window_buffers(dim)
+    held = [*ws.frames, *ws.flux_high, *ws.flux]
+    for size, carved in ((fits, True), (fits + 1, False)):
+        buffers = ws.window_buffers((size,) * dim, count)
+        assert len(buffers) == count
+        assert all(b.shape == (size,) * dim and b.flags.c_contiguous for b in buffers)
+        for i, b in enumerate(buffers):
+            assert not any(np.shares_memory(b, a) for a in held)
+            assert not any(np.shares_memory(b, c) for c in buffers[i + 1:])
+            assert any(np.shares_memory(b, a) for a in (ws.face, *ws.scratch)) == carved
 
 
 @pytest.mark.parametrize("reads", ("frame 0", "frame 1", "q0"))
