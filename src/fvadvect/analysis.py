@@ -112,16 +112,23 @@ def phase_modes(scheme, dim=1, n_beta=1024):
     return modes
 
 
-def max_amplification(modes, sigma, scaled=None):
-    """Largest RK4 amplification |g(sigma * mode)| over ``modes``.
+def max_amplification(modes, sigma):
+    """Largest RK4 amplification |g(sigma * mode)| over ``modes``, from
+    ``_worst_amplification`` in a fresh array.  A NaN (an overflowing
+    sigma) gives NaN."""
+    return _worst_amplification(modes, sigma, np.empty_like(modes))[0]
+
+
+def _worst_amplification(modes, sigma, scaled):
+    """The largest |g(sigma * mode)| over ``modes`` and its flat index.
 
     ``sigma * modes`` is formed in ``scaled`` (an array of the shape and
-    type of ``modes``, fresh when not given), g in place over it, and the
-    maximum of |g| block by block (``_worst_mode``), so no second array of
-    the size of ``modes`` is made.  A NaN (an overflowing sigma) gives NaN.
+    type of ``modes``), g in place over it, and the maximum of |g| block
+    by block (``_worst_mode``), so no second array of the size of
+    ``modes`` is made.
     """
     z = np.multiply(sigma, modes, out=scaled)
-    return _worst_mode(rk4_amplification(z, out=z))[0]
+    return _worst_mode(rk4_amplification(z, out=z))
 
 
 def _worst_mode(g):
@@ -158,14 +165,12 @@ def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
     """Largest CFL number, found by bisection on the worst amplification.
 
     A probe is stable when max|g| over ``phase_modes`` is at most
-    1 + STABILITY_TOL.  A full scan forms sigma * modes in the row's one
-    buffer, evaluates g in place over it with one ``rk4_amplification``
-    call, and takes the worst mode block by block (``_worst_mode``),
-    keeping its flat index when the probe is unstable.  A later probe
-    first evaluates that one mode alone: when its |g| clears the
-    threshold by ``_LONE_MODE_MARGIN`` the probe is unstable, as the full
-    scan would find; otherwise the probe runs the full scan.  Nothing is
-    kept between calls.
+    1 + STABILITY_TOL.  A full scan is one ``_worst_amplification`` in
+    one buffer made per call, and it keeps the worst mode's flat index
+    when the probe is unstable.  A later probe first evaluates that one
+    mode alone: when its |g| clears the threshold by ``_LONE_MODE_MARGIN``
+    the probe is unstable, as the full scan would find; otherwise the
+    probe runs the full scan.  Nothing is kept between calls.
     """
     modes = phase_modes(scheme, dim, n_beta)
     scaled = np.empty_like(modes)
@@ -176,8 +181,7 @@ def max_stable_sigma(scheme, dim=1, n_beta=1024, tol=1e-4):
         if suspect is not None and (_lone_amplification(modes, suspect, sig)
                                     > 1.0 + STABILITY_TOL + _LONE_MODE_MARGIN):
             return False
-        z = np.multiply(sig, modes, out=scaled)
-        worst, index = _worst_mode(rk4_amplification(z, out=z))
+        worst, index = _worst_amplification(modes, sig, scaled)
         if worst <= 1.0 + STABILITY_TOL:
             return True
         suspect = index

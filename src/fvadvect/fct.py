@@ -59,15 +59,9 @@ CROP_MULTIPLE = 16
 LIMITER_REACH = 6
 
 
-def _outputs(out, count, shape):
-    """``out``, or ``count`` fresh arrays of ``shape`` where it is None."""
-    return tuple(np.empty(shape) for _ in range(count)) if out is None else tuple(out)
-
-
-def second_differences(q, out=None):
+def second_differences(q, out):
     """Per-axis centered second differences of a periodic array, written
-    into the arrays of ``out`` (fresh ones by default)."""
-    out = _outputs(out, q.ndim, q.shape)
+    into the arrays of ``out``, one per axis."""
     twice, buf = np.multiply(2.0, q), np.empty(q.shape)
     for d, d2 in enumerate(out):
         neighbour_apply(np.subtract, q, 1, twice, 0, d, buf)
@@ -75,17 +69,15 @@ def second_differences(q, out=None):
     return out
 
 
-def antidiffusive(F_high, F_low, out=None):
+def antidiffusive(F_high, F_low, out):
     """High-order minus low-order flux, per dimension per face.
 
-    Written into the arrays of ``out`` (fresh ones by default), which may
-    be ``F_high`` itself.
+    Written into the arrays of ``out``, which may be ``F_high`` itself.
     """
-    out = (None,) * len(F_high) if out is None else out
     return tuple(np.subtract(fh, fl, out=o) for fh, fl, o in zip(F_high, F_low, out))
 
 
-def preconstrain(A, q_td, d2q, u_faces, dt, h, out=None):
+def preconstrain(A, q_td, d2q, u_faces, dt, h, out):
     """Zero antidiffusive fluxes that would steepen a detected discontinuity.
 
     A face is zeroed only when all three hold:
@@ -97,12 +89,10 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h, out=None):
          modified-equation dissipation across the face, (|u| h / 2) *
          (1 - sigma_face) * |avg of adjacent second differences|.
 
-    ``u_faces`` may be in their compact shape: |u| is formed at the
-    window's shape, so the in-place chain of the dissipation keeps it.
-    The fluxes are written into the arrays of ``out`` (fresh ones by
-    default), which may be ``A`` itself.
+    ``u_faces`` may be in their compact shape: the velocity factor of the
+    dissipation is formed in it.  The fluxes are written into the arrays
+    of ``out``, which may be ``A`` itself.
     """
-    out = _outputs(out, q_td.ndim, q_td.shape)
     buf, kink, dissipation = (np.empty(q_td.shape) for _ in range(3))
     for d, o in enumerate(out):
         Ad = A[d]
@@ -115,14 +105,10 @@ def preconstrain(A, q_td, d2q, u_faces, dt, h, out=None):
         np.minimum(kink, neighbour_apply(np.multiply, d2, -1, d2, -2, d, buf), out=kink)
         np.minimum(kink, neighbour_apply(np.multiply, d2, 0, d2, 1, d, buf), out=kink)
         zeroed &= kink < 0.0
-        np.abs(np.broadcast_to(u_faces[d], q_td.shape), out=dissipation)
-        np.multiply(dissipation, dt, out=buf)
-        buf /= h
-        np.subtract(1.0, buf, out=buf)  # 1 - sigma_face
-        dissipation *= h
-        dissipation /= 2.0
-        dissipation *= buf
-        dissipation *= np.abs(neighbour_apply(np.add, d2, -1, d2, 0, d, buf), out=buf)
+        speed = np.abs(u_faces[d])
+        factor = speed * h / 2.0 * (1.0 - speed * dt / h)  # (|u| h/2)(1 - sigma_face)
+        d2_sum = np.abs(neighbour_apply(np.add, d2, -1, d2, 0, d, buf), out=buf)
+        np.multiply(factor, d2_sum, out=dissipation)
         dissipation /= 2.0
         zeroed &= np.abs(Ad, out=buf) <= dissipation
         if o is not Ad:
@@ -176,16 +162,15 @@ def bounds_stencil_size(u_faces, sigma):
     return np.where(sigma * speed >= 0.5, 2, 1)
 
 
-def compute_bounds(qn, q_td, u_faces, sigma, out=None):
+def compute_bounds(qn, q_td, u_faces, sigma, out):
     """Windowed bounds from both the old and transported-diffused states.
 
     Returns ``(q_max, q_min)`` over the [2s+1]^dim block around each
     cell, s from ``bounds_stencil_size`` of the face velocities
     ``u_faces`` (which may be compact: s is read by broadcasting), with
     q_n and q_td together as the candidates.  They are written into the
-    two arrays of ``out`` (fresh ones by default).
+    two arrays of ``out``.
     """
-    out = _outputs(out, 2, qn.shape)
     wide = bounds_stencil_size(u_faces, sigma) == 2
     for reducer, bound in zip((np.maximum, np.minimum), out):
         narrow, broad = _box_extremes(reducer(qn, q_td), 2, reducer)
@@ -272,7 +257,7 @@ def _limited_curvature(d2, axis):
     return out
 
 
-def extremum_bound_correction(flags, qn, d2q, q_max, scale, out=None):
+def extremum_bound_correction(flags, qn, d2q, q_max, scale, out):
     """The upper bound relaxed at flagged cells using a local parabola.
 
     Per dimension, the parabola through the three old-time cell values is
@@ -296,8 +281,7 @@ def extremum_bound_correction(flags, qn, d2q, q_max, scale, out=None):
     from clipping the way maxima are, and it is what makes undershoot
     growth below the running window floor structurally impossible.
 
-    The bound is written into ``out`` (a fresh array by default), which
-    may be ``q_max`` itself.
+    The bound is written into ``out``, which may be ``q_max`` itself.
     """
     c = qn
     floor = CURVATURE_FLOOR_REL * scale
@@ -312,7 +296,6 @@ def extremum_bound_correction(flags, qn, d2q, q_max, scale, out=None):
     grow += c
     np.minimum(grow, np.add(q_max, margin, out=margin), out=grow)
     np.maximum(q_max, grow, out=grow)
-    out = np.empty(c.shape) if out is None else out
     if out is not q_max:
         np.copyto(out, q_max)
     np.copyto(out, grow, where=flags & any_concave)
@@ -388,14 +371,14 @@ def laplacian_flags(d2q, h, q_td):
     return oscillating & lap_pos & lap_neg
 
 
-def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h, out=None):
+def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h, out):
     """Least-upper-bound multipliers for the antidiffusive correction.
 
     P gathers the antidiffusive flux into (+) and out of (-) each cell, Q
     measures the headroom to the bound scaled by h/dt, and R caps their
     ratio at one (zero where no inflow/outflow, and zero at flagged cells).
-    ``(R_in, R_out)`` are written into the two arrays of ``out`` (fresh
-    ones by default), which may be ``(q_max, q_min)`` themselves.
+    ``(R_in, R_out)`` are written into the two arrays of ``out``, which may
+    be ``(q_max, q_min)`` themselves.
     """
     P_in = np.zeros(q_td.shape)
     P_out = np.zeros(q_td.shape)
@@ -407,7 +390,7 @@ def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h, out=None):
         P_in += neighbour_apply(np.subtract, into, 0, out_of, 1, d, buf)
         P_out += neighbour_apply(np.subtract, into, 1, out_of, 0, d, buf)
     del buf, into, out_of
-    R_in, R_out = _outputs(out, 2, q_td.shape)
+    R_in, R_out = out
     np.subtract(q_max, q_td, out=R_in)
     np.subtract(q_td, q_min, out=R_out)
     for P, R in ((P_in, R_in), (P_out, R_out)):
@@ -421,16 +404,15 @@ def compute_pqr(A, q_td, q_max, q_min, flagged, dt, h, out=None):
     return R_in, R_out
 
 
-def hybridize(A, R_in, R_out, out=None):
+def hybridize(A, R_in, R_out, out):
     """Per-face hybridization coefficients, the most restrictive choice.
 
     A positive antidiffusive flux raises the right cell and lowers the left
     one, so it is capped by min(R_in(right), R_out(left)); the opposite
     orientation swaps the roles.  Faces with A == 0 take the second branch,
     where the value is irrelevant.  The coefficients are written into the
-    arrays of ``out`` (fresh ones by default).
+    arrays of ``out``, one per axis.
     """
-    out = _outputs(out, R_in.ndim, R_in.shape)
     raising = np.empty(R_in.shape)
     for d, eta in enumerate(out):
         # shift 0 is a face's right cell and shift -1 its left cell

@@ -176,7 +176,7 @@ class Workspace:
     def window_buffers(self, shape, count):
         """``count`` C-contiguous float arrays of ``shape``, laid out in
         turn in the run ``face``, ``scratch[0]``, ``scratch[1]`` of the
-        pool, or in one fresh block where they do not fit.
+        pool as far as they fit, and the rest in one fresh block.
 
         The limiter's window arrays live there: nothing else reads or
         writes that run from ``limiter_window`` to the end of the step.
@@ -185,8 +185,12 @@ class Workspace:
         size, grid_size = math.prod(shape), self.face.size
         start = (1 + 2 * self.face.ndim) * grid_size  # see _lay_out
         run = self.pool[start:start + (1 + len(self.scratch)) * grid_size]
-        flat = run if count * size <= run.size else np.empty(count * size)
-        return [flat[k * size:(k + 1) * size].reshape(shape) for k in range(count)]
+        fits = min(count, run.size // size)
+
+        def carve(flat, k):
+            return [flat[i * size:(i + 1) * size].reshape(shape) for i in range(k)]
+
+        return carve(run, fits) + carve(np.empty((count - fits) * size), count - fits)
 
 
 class Window:
@@ -206,12 +210,8 @@ class Window:
         self.blocks = [tuple(zip(*block)) for block in itertools.product(*spans)]
         self.core = [tuple(zip(*block)) for block in itertools.product(*core_spans)]
 
-    def __call__(self, a, out=None):
-        """The window of grid array ``a``, C-contiguous: ``a`` itself for
-        the whole grid, else a copy, into ``out`` when given."""
-        if self.whole and out is None:
-            return a
-        out = np.empty(self.shape, a.dtype) if out is None else out
+    def __call__(self, a, out):
+        """The window of grid array ``a``, copied into ``out``."""
         for in_grid, in_window in self.blocks:
             out[in_window] = a[in_grid]
         return out
@@ -354,17 +354,15 @@ def conserved_sum(grid, q):
     return math.fsum(itertools.chain.from_iterable(rows)) * grid.h ** grid.dim
 
 
-def flux_divergence(grid, fluxes, dt, out=None, diff=None):
+def flux_divergence(grid, fluxes, dt, out, diff):
     """Conservative increment ``(dt/h) * sum_d [F_d(right) - F_d(left)]``.
 
     ``fluxes`` is a tuple of per-dimension face arrays in the shared-face
     layout described in the module docstring, on the grid or on a window of
     it.  The result, written into ``out``, is the array to SUBTRACT from a
     cell field; its sum telescopes to zero under periodicity.  ``diff`` is
-    scratch; both are fresh arrays when not given.
+    scratch.
     """
-    out = np.empty(fluxes[0].shape) if out is None else out
-    diff = np.empty(out.shape) if diff is None else diff
     # the sum starts at 0.0: the first difference plus 0.0 is that bitwise
     for d, F in enumerate(fluxes):
         neighbour_apply(np.subtract, F, 1, F, 0, d, diff if d else out)

@@ -285,7 +285,7 @@ def _prefix(a, shape, skip=0):
     return a.reshape(-1)[skip:skip + math.prod(shape)].reshape(shape)
 
 
-def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
+def face_interpolate(q, scheme, d, flow, out, term, total):
     """Face values of the cell field ``q`` along axis ``d``.
 
     Face index k sits between cells k-1 and k, so the positive-velocity
@@ -300,12 +300,8 @@ def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
     varies along the normal both orientations are built over every face,
     the mirrored one in ``total``, and copied in at the faces with u < 0.
     Centered schemes ignore ``flow``.  The values are written into
-    ``out``; ``out`` and the scratch ``term`` and ``total`` are fresh
-    arrays when not given.
+    ``out``, with ``term`` and ``total`` as scratch.
     """
-    if scheme.is_upwind and flow is None:
-        raise ValueError("upwind interpolation needs face velocities")
-    out, term, total = (np.empty(q.shape) if a is None else a for a in (out, term, total))
     if not scheme.is_upwind:
         return _stencil_sum(q, scheme, d, False, out, term)
     blocks = flow.orientations[d]
@@ -329,7 +325,7 @@ def face_interpolate(q, scheme, d, flow=None, out=None, term=None, total=None):
     return out
 
 
-def product_rule_flux(q_face, flow, d, out=None, term=None, twice=None):
+def product_rule_flux(q_face, flow, d, out, term, twice):
     """Face average of q*u from the face averages of the factors.
 
     order 2:  plain product.
@@ -352,11 +348,9 @@ def product_rule_flux(q_face, flow, d, out=None, term=None, twice=None):
     ``q_face*u_face + w1*D1(q) + w2*D2(q) + w0*L(q)`` per transverse axis,
     with the weights of ``flow`` (see ``product_rule_weights``).  With no
     transverse axes (1D), at order 2, or where the weights vanish, the flux
-    is exactly ``q_face * u_face``.  The flux is written into ``out``;
-    ``out`` and the scratch ``term`` and ``twice`` are fresh arrays when
-    not given.
+    is exactly ``q_face * u_face``.  The flux is written into ``out``,
+    with ``term`` and ``twice`` as scratch.
     """
-    out, term, twice = (np.empty(q_face.shape) if a is None else a for a in (out, term, twice))
     flux = np.multiply(q_face, flow.u_faces[d], out=out)
     for t, w1, w2, w0 in flow.weights[d]:
         d1 = neighbour_apply(np.subtract, q_face, 1, q_face, -1, t, term)

@@ -15,10 +15,10 @@ def force_eta(monkeypatch, value):
     """Every limited step takes eta = ``value`` at its window's core faces."""
     monkeypatch.setattr(
         fct, "hybridize",
-        lambda A, R_in, R_out, out=None: tuple(np.full(R_in.shape, value) for _ in A),
+        lambda A, R_in, R_out, out: tuple(np.full(R_in.shape, value) for _ in A),
     )
 
 
 def skip_preconstraint(monkeypatch):
     """Every limited step keeps the antidiffusive fluxes as they are."""
-    monkeypatch.setattr(fct, "preconstrain", lambda A, *args, out=None: A)
+    monkeypatch.setattr(fct, "preconstrain", lambda A, *args, out: A)

@@ -9,6 +9,7 @@ N=256 slotted-cylinder revolution.
 import numpy as np
 import pytest
 
+from buffers import nan_buffers
 from closed_forms import scheme_eigenvalue
 from limiter_patches import force_eta, skip_preconstraint
 from fvadvect.analysis import max_stable_sigma, stencil_eigenvalue
@@ -161,6 +162,31 @@ def test_criterion_04_square_boundedness(dim, scheme):
     assert ok
 
 
+# ``run``'s 2D default, inside the 2D limit of u5 (0.866) and of u9 (0.7992)
+IN_RANGE_SIGMA_2D = 0.75
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["square", "minus-square"])
+@pytest.mark.parametrize("scheme", ["u5", "u9"])
+def test_criterion_04_square_boundedness_in_range(scheme, sign):
+    """The 2D square and its negative, on the diagonal at a CFL number
+    inside the scheme's 2D limit, stay inside their initial range to 1e-10
+    after a transit."""
+    assert IN_RANGE_SIGMA_2D < max_stable_sigma(scheme, 2)
+    grid = Grid(2, 128)
+    q0 = sign * initial_condition(standard_problem("square", "constant", grid), grid)
+    result = integrate(q0, make_velocity("constant", grid), grid, scheme, IN_RANGE_SIGMA_2D, 1.0)
+    assert result.conservation_drift <= CONSERVATION_TOL
+    lo, hi = min(0.0, sign), max(0.0, sign)
+    ok = result.solution_min >= lo - 1e-10 and result.solution_max <= hi + 1e-10
+    report(
+        f"criterion 4 (square bounds 2D {scheme}, sign {sign:+.0f}, "
+        f"sigma {IN_RANGE_SIGMA_2D})", ok,
+        f"min-lo={result.solution_min - lo:.3e} max-hi={result.solution_max - hi:.3e}",
+    )
+    assert ok
+
+
 def test_criterion_05_slotted_cylinder():
     """One revolution of the slotted cylinder at N=256 stays bounded and
     keeps the slot open (centerline minimum well below 0.5)."""
@@ -297,7 +323,7 @@ def test_criterion_09_ctu_stability_advantage():
             uf[d] * np.where(uf[d] >= 0.0, np.roll(q_dc, 1, axis=d), q_dc)
             for d in range(2)
         )
-        q_dc = q_dc - flux_divergence(grid, fluxes, dt)
+        q_dc = q_dc - flux_divergence(grid, fluxes, dt, *nan_buffers(fluxes[0], 2))
         dc_max = float(np.abs(q_dc).max())
         if not np.isfinite(dc_max) or dc_max > 10 * m0:
             break

@@ -24,6 +24,7 @@ from fvadvect.velocity import (
     ConstantDiagonal,
     face_average_velocity,
 )
+from buffers import nan_buffer, nan_buffers
 from limiter_patches import force_eta, skip_preconstraint
 
 
@@ -60,14 +61,14 @@ class TestAntidiffusive:
     def test_equal_fluxes(self):
         rng = np.random.default_rng(0)
         F = (rng.random(16),)
-        A = antidiffusive(F, F)
+        A = antidiffusive(F, F, out=nan_buffers(F[0], 1))
         assert np.all(A[0] == 0.0)
 
     def test_definition_bitwise(self):
         rng = np.random.default_rng(1)
         FH = (rng.random(16), rng.random(16))
         FL = (rng.random(16), rng.random(16))
-        A = antidiffusive(FH, FL)
+        A = antidiffusive(FH, FL, out=nan_buffers(FH[0], 2))
         for d in range(2):
             assert np.array_equal(FL[d] + A[d], FH[d])
 
@@ -94,8 +95,8 @@ class TestPreconstrain:
     def test_zero_flux_stays_zero(self):
         g, q = field_1d(np.random.default_rng(2).random(32))
         A = (np.zeros(32),)
-        d2 = second_differences(q)
-        out = preconstrain(A, q, d2, (np.ones(32),), 0.8 * g.h, g.h)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        out = preconstrain(A, q, d2, (np.ones(32),), 0.8 * g.h, g.h, out=nan_buffers(q, 1))
         assert np.all(out[0] == 0.0)
 
     def test_sign_consistent_curvature_not_constrained(self):
@@ -105,10 +106,10 @@ class TestPreconstrain:
         vals = np.zeros(n)
         vals[10:20] = 0.1 * (np.arange(10) - 4.5) ** 2  # convex patch
         g, q = field_1d(vals)
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         rng = np.random.default_rng(3)
         A = (rng.standard_normal(n) * 1e-12,)  # small enough to satisfy c3
-        out = preconstrain(A, q, d2, (np.ones(n),), 0.8 * g.h, g.h)
+        out = preconstrain(A, q, d2, (np.ones(n),), 0.8 * g.h, g.h, out=nan_buffers(q, 1))
         inner = slice(13, 18)  # faces strictly inside the convex patch
         assert np.array_equal(out[0][inner], A[0][inner])
 
@@ -119,9 +120,9 @@ class TestPreconstrain:
         FH = rk4_high_order_step(q, flow, dt, s, ws)
         FL = ctu_fluxes(q, flow, dt, ws)
         q_td = low_order_update(q, FL, dt, g, ws)
-        A = antidiffusive(FH, FL)
-        d2 = second_differences(q)
-        got = preconstrain(A, q_td, d2, uf, dt, g.h)
+        A = antidiffusive(FH, FL, out=nan_buffers(q, 1))
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        got = preconstrain(A, q_td, d2, uf, dt, g.h, out=nan_buffers(q, 1))
         oracle = preconstrain_oracle_1d(
             A[0], q_td, d2[0], uf[0], dt, g.h
         )
@@ -132,10 +133,10 @@ class TestPreconstrain:
         g, q = field_1d(rng.random(64))
         q_td = rng.random(64)
         A = (rng.standard_normal(64) * 1e-4,)
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         u = (rng.uniform(0.5, 1.0, 64),)
         dt = 0.5 * g.h
-        got = preconstrain(A, q_td, d2, u, dt, g.h)
+        got = preconstrain(A, q_td, d2, u, dt, g.h, out=nan_buffers(q, 1))
         oracle = preconstrain_oracle_1d(A[0], q_td, d2[0], u[0], dt, g.h)
         assert np.array_equal(got[0], oracle)
 
@@ -146,8 +147,9 @@ class TestPreconstrain:
         FH = rk4_high_order_step(q, flow, dt, s, ws)
         FL = ctu_fluxes(q, flow, dt, ws)
         q_td = low_order_update(q, FL, dt, g, ws)
-        A = antidiffusive(FH, FL)
-        out = preconstrain(A, q_td, second_differences(q), uf, dt, g.h)
+        A = antidiffusive(FH, FL, out=nan_buffers(q, 1))
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        out = preconstrain(A, q_td, d2, uf, dt, g.h, out=nan_buffers(q, 1))
         changed = out[0] != A[0]
         assert np.all(out[0][changed] == 0.0)
 
@@ -155,7 +157,7 @@ class TestPreconstrain:
 class TestBounds:
     def test_constant_field(self):
         g, q = field_1d(np.full(16, 2.0))
-        q_max, q_min = compute_bounds(q, q, (np.ones(16),), 0.8)
+        q_max, q_min = compute_bounds(q, q, (np.ones(16),), 0.8, out=nan_buffers(q, 2))
         assert np.all(q_max == 2.0)
         assert np.all(q_min == 2.0)
 
@@ -164,7 +166,7 @@ class TestBounds:
         vals[5] = 1.0
         g, q = field_1d(vals)
         # slow flow: sigma * |u| < 0.5 so the window radius is 1
-        q_max, q_min = compute_bounds(q, q, (np.full(16, 0.1),), 0.8)
+        q_max, q_min = compute_bounds(q, q, (np.full(16, 0.1),), 0.8, out=nan_buffers(q, 2))
         assert np.all(bounds_stencil_size((np.full(16, 0.1),), 0.8) == 1)
         assert q_max[4] == 1.0
         assert q_max[5] == 1.0
@@ -185,7 +187,7 @@ class TestBounds:
         g = Grid(1, 16)
         qn = vals_n
         qtd = vals_td
-        q_max, q_min = compute_bounds(qn, qtd, (np.ones(16),), 0.8)
+        q_max, q_min = compute_bounds(qn, qtd, (np.ones(16),), 0.8, out=nan_buffers(qn, 2))
         assert q_max[4] == 1.0          # from q_n
         assert q_min[8] == -1.0         # from q_td
 
@@ -195,7 +197,7 @@ class TestBounds:
         qn = rng.random((16, 16))
         qtd = rng.random((16, 16))
         u_faces = face_average_velocity(ConstantDiagonal(dim=2), g)
-        q_max, q_min = compute_bounds(qn, qtd, u_faces, 0.8)
+        q_max, q_min = compute_bounds(qn, qtd, u_faces, 0.8, out=nan_buffers(qn, 2))
         assert np.all(qtd <= q_max)
         assert np.all(qtd >= q_min)
 
@@ -275,41 +277,41 @@ class TestExtremumBoundCorrection:
         k = np.arange(n, dtype=float) - 16.0
         vals = np.where(np.abs(k) <= 4, 1.0 - 0.04 * k**2, 1.0 - 0.04 * 16.0)
         g, q = field_1d(vals)
-        d2 = second_differences(q)
-        q_max, _ = compute_bounds(q, q, (np.full(n, 0.1),), 0.8)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        q_max, _ = compute_bounds(q, q, (np.full(n, 0.1),), 0.8, out=nan_buffers(q, 2))
         flags = np.zeros(n, dtype=bool)
         flags[16] = True
-        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q), out=nan_buffer(q))
         q_ext = 1.0 + 0.08 / 24.0
         assert new_max[16] == pytest.approx(1.0 + 2 * (q_ext - 1.0), rel=1e-12)
         assert new_max[16] == pytest.approx(1.00667, abs=5e-6)
 
     def test_zero_curvature_skipped(self):
         g, q = field_1d(np.zeros(32))
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         q_max = np.zeros(32)
         flags = np.ones(32, dtype=bool)
-        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q), out=nan_buffer(q))
         assert np.array_equal(new_max, q_max)
 
     def test_unflagged_cells_bitwise_unchanged(self):
         rng = np.random.default_rng(7)
         g, q = field_1d(rng.random(32))
-        d2 = second_differences(q)
-        q_max, _ = compute_bounds(q, q, (np.ones(32),), 0.8)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        q_max, _ = compute_bounds(q, q, (np.ones(32),), 0.8, out=nan_buffers(q, 2))
         flags = np.zeros(32, dtype=bool)
         flags[10] = True
-        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q), out=nan_buffer(q))
         keep = ~flags
         assert np.array_equal(new_max[keep], q_max[keep])
 
     def test_never_tightens(self):
         rng = np.random.default_rng(8)
         g, q = field_1d(rng.random(64))
-        d2 = second_differences(q)
-        q_max, _ = compute_bounds(q, q, (np.ones(64),), 0.8)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        q_max, _ = compute_bounds(q, q, (np.ones(64),), 0.8, out=nan_buffers(q, 2))
         flags = np.ones(64, dtype=bool)
-        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q), out=nan_buffer(q))
         assert np.all(new_max >= q_max)
 
     def test_sign_inconsistent_curvature_no_growth(self):
@@ -317,24 +319,24 @@ class TestExtremumBoundCorrection:
         n = 32
         vals = 0.5 + 0.1 * np.cos(np.pi * np.arange(n))  # 2-cell wave
         g, q = field_1d(vals)
-        d2 = second_differences(q)
-        q_max, _ = compute_bounds(q, q, (np.ones(n),), 0.8)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
+        q_max, _ = compute_bounds(q, q, (np.ones(n),), 0.8, out=nan_buffers(q, 2))
         flags = np.ones(n, dtype=bool)
-        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q))
+        new_max = extremum_bound_correction(flags, q, d2, q_max, max_abs(q), out=nan_buffer(q))
         assert np.array_equal(new_max, q_max)
 
 
 class TestLaplacianFlags:
     def test_zero_field_no_flags(self):
         g, q = field_1d(np.zeros(32))
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         assert not laplacian_flags(d2, g.h, q).any()
 
     def test_smooth_extremum_not_flagged(self):
         g = Grid(1, 128)
         spec = standard_problem("cosine8", "constant", g, radius=15 / 128)
         q = initial_condition(spec, g)
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         flags = laplacian_flags(d2, g.h, q)
         peak = int(np.argmax(q))
         assert not flags[peak]
@@ -344,7 +346,7 @@ class TestLaplacianFlags:
         n = 32
         vals = 0.5 + 0.01 * np.cos(np.pi * np.arange(n) / 2)  # 4-cell wave
         g, q = field_1d(vals)
-        d2 = second_differences(q)
+        d2 = second_differences(q, out=nan_buffers(q, 1))
         flags = laplacian_flags(d2, g.h, q)
         assert flags.any()
         # every flagged cell brackets a first-difference sign change
@@ -358,7 +360,7 @@ class TestPQRAndHybridize:
         g, q = field_1d(np.linspace(0, 1, 32))
         A = (np.zeros(32),)
         R_in, R_out = compute_pqr(A, q, np.ones(32), np.zeros(32), np.zeros(32, bool),
-                                  0.01, g.h)
+                                  0.01, g.h, out=nan_buffers(q, 2))
         assert np.all(R_in == 0.0)
         assert np.all(R_out == 0.0)
 
@@ -366,7 +368,7 @@ class TestPQRAndHybridize:
         g, q = field_1d(np.full(32, 0.5))
         A = (np.full(32, 1e-8),)
         R_in, R_out = compute_pqr(A, q, np.full(32, 1e6), np.full(32, -1e6),
-                                  np.zeros(32, bool), 0.01, g.h)
+                                  np.zeros(32, bool), 0.01, g.h, out=nan_buffers(q, 2))
         assert np.all(R_in == 1.0)
         assert np.all(R_out == 1.0)
 
@@ -375,7 +377,8 @@ class TestPQRAndHybridize:
         A = (np.full(32, 0.1),)
         flagged = np.zeros(32, dtype=bool)
         flagged[7] = True
-        R_in, R_out = compute_pqr(A, q, np.ones(32), np.zeros(32), flagged, 0.01, g.h)
+        R_in, R_out = compute_pqr(A, q, np.ones(32), np.zeros(32), flagged, 0.01, g.h,
+                                  out=nan_buffers(q, 2))
         assert R_in[7] == 0.0
         assert R_out[7] == 0.0
         assert R_in[8] > 0.0
@@ -385,8 +388,8 @@ class TestPQRAndHybridize:
         A = (np.ones(16),)
         ones = np.ones(16)
         zeros = np.zeros(16)
-        assert np.all(hybridize(A, ones, ones)[0] == 1.0)
-        assert np.all(hybridize(A, zeros, zeros)[0] == 0.0)
+        assert np.all(hybridize(A, ones, ones, out=nan_buffers(ones, 1))[0] == 1.0)
+        assert np.all(hybridize(A, zeros, zeros, out=nan_buffers(zeros, 1))[0] == 0.0)
 
     def test_hybridize_directional_selection(self):
         # positive antidiffusive flux at face k: receiving cell is k, donor
@@ -395,10 +398,10 @@ class TestPQRAndHybridize:
         A = (np.ones(16),)
         R_in = np.full(16, 0.3)
         R_out = np.full(16, 0.7)
-        eta = hybridize(A, R_in, R_out)[0]
+        eta = hybridize(A, R_in, R_out, out=nan_buffers(R_in, 1))[0]
         assert np.all(eta == 0.3)
         A_neg = (-np.ones(16),)
-        eta = hybridize(A_neg, R_in, R_out)[0]
+        eta = hybridize(A_neg, R_in, R_out, out=nan_buffers(R_in, 1))[0]
         assert np.all(eta == 0.3)  # min(R_in[k-1], R_out[k]) = 0.3
 
     def test_hybridize_mixed_values(self):
@@ -409,7 +412,7 @@ class TestPQRAndHybridize:
         R_out[4] = 0.7   # cell 4 may give up to 0.7
         A = (np.zeros(16),)
         A[0][5] = 1.0    # face 5 sits between cells 4 and 5, A > 0
-        eta = hybridize(A, R_in, R_out)[0]
+        eta = hybridize(A, R_in, R_out, out=nan_buffers(R_in, 1))[0]
         assert eta[5] == 0.3
 
 
@@ -520,7 +523,7 @@ class TestFctAdvance:
         flow, ws = face_flow(uf, g, 4), Workspace(g)
         for _ in range(10):
             q_td = ctu_update(q, flow, dt)
-            q_max, q_min = compute_bounds(q, q_td, uf, 0.8)
+            q_max, q_min = compute_bounds(q, q_td, uf, 0.8, out=nan_buffers(q, 2))
             flags = smooth_extremum_flags(q_td) & smooth_extremum_flags(q)
             q_new, _ = fct_advance(q, flow, dt, 0.8, s, ws)
             plain = ~flags

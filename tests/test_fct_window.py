@@ -22,6 +22,7 @@ from fvadvect.grid import Grid, Workspace, flux_divergence
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.schemes import face_flow, scheme_coefficients
+from buffers import nan_buffer, nan_buffers
 from limiter_patches import skip_preconstraint
 
 N = 64
@@ -118,21 +119,23 @@ def masked_full_grid_step(qn, flow, dt, sigma):
     F_high = rk4_high_order_step(qn, flow, dt, SCHEME, ws)
     F_low = ctu_fluxes(qn, flow, dt, ws)
     q_td = low_order_update(qn, F_low, dt, g, ws)
-    A = fct.antidiffusive(F_high, F_low)
+    A = fct.antidiffusive(F_high, F_low, out=nan_buffers(F_high[0], len(F_high)))
     qi, ti = qn, q_td
     scale = float(np.max(np.abs(qi)))
     core = core_mask(A, dt, g, scale)
-    d2q = fct.second_differences(qi)
-    A = fct.preconstrain(A, ti, d2q, u_faces, dt, g.h)
-    q_max, q_min = fct.compute_bounds(qi, ti, u_faces, sigma)
+    d2q = fct.second_differences(qi, out=nan_buffers(qi, qi.ndim))
+    A = fct.preconstrain(A, ti, d2q, u_faces, dt, g.h, out=nan_buffers(qi, qi.ndim))
+    q_max, q_min = fct.compute_bounds(qi, ti, u_faces, sigma, out=nan_buffers(qi, 2))
     flags = fct.smooth_extremum_flags(ti) & fct.smooth_extremum_flags(qi)
-    q_max = fct.extremum_bound_correction(flags, qi, d2q, q_max, scale)
+    q_max = fct.extremum_bound_correction(flags, qi, d2q, q_max, scale, out=nan_buffer(qi))
     oscillating = flags & fct.laplacian_flags(d2q, g.h, ti)
-    R_in, R_out = fct.compute_pqr(A, ti, q_max, q_min, oscillating, dt, g.h)
-    etas = tuple(np.where(core, eta, 0.0) for eta in fct.hybridize(A, R_in, R_out))
+    R_in, R_out = fct.compute_pqr(A, ti, q_max, q_min, oscillating, dt, g.h,
+                                  out=nan_buffers(ti, 2))
+    etas = fct.hybridize(A, R_in, R_out, out=nan_buffers(qi, qi.ndim))
+    etas = tuple(np.where(core, eta, 0.0) for eta in etas)
     for a, eta in zip(A, etas):
         a *= eta
-    return ti - flux_divergence(g, A, dt), etas, core
+    return ti - flux_divergence(g, A, dt, *nan_buffers(qi, 2)), etas, core
 
 
 def assert_bitwise(got, want):

@@ -234,7 +234,9 @@ def test_crop_takes_the_grid_orientation(dim, window, velocity):
     flow = face_flow(u_faces, g, 6)
     cropped = crop_flow(flow, crop)
     for d, u in enumerate(u_faces):
-        assert np.broadcast_to(cropped.u_faces[d], crop.shape).tobytes() == crop(u).tobytes()
-        want = crop(u < 0.0)
+        in_crop = crop(u, np.full(crop.shape, np.nan))
+        assert np.broadcast_to(cropped.u_faces[d], crop.shape).tobytes() == in_crop.tobytes()
+        want = crop(u < 0.0, np.empty(crop.shape, bool))
         assert np.array_equal(mirrored_faces(cropped, d, crop.shape), want)
-        assert np.array_equal(crop(mirrored_faces(flow, d, g.shape)), want)
+        assert np.array_equal(crop(mirrored_faces(flow, d, g.shape), np.empty(crop.shape, bool)),
+                              want)

@@ -5,6 +5,7 @@ from fvadvect.grid import Grid, Workspace, conserved_sum, flux_divergence
 from fvadvect.loworder import ctu_fluxes, low_order_update
 from fvadvect.schemes import face_flow
 from fvadvect.velocity import ConstantDiagonal, face_average_velocity
+from buffers import nan_buffers
 
 
 def ctu(q, uf, dt, grid):
@@ -25,7 +26,7 @@ def donor_cell_update(q, u_faces, dt, grid):
     for d in range(grid.dim):
         up = np.where(u_faces[d] >= 0.0, np.roll(c, 1, axis=d), c)
         fluxes.append(u_faces[d] * up)
-    return c - flux_divergence(grid, tuple(fluxes), dt)
+    return c - flux_divergence(grid, tuple(fluxes), dt, *nan_buffers(c, 2))
 
 
 def bilinear_remap_oracle(c, sx, sy):

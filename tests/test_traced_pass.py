@@ -17,6 +17,7 @@ import pytest
 from fvadvect import driver, grid, problems, velocity
 from fvadvect.grid import Grid, neighbour_apply
 from fvadvect.schemes import face_flow, face_interpolate, scheme_coefficients
+from buffers import nan_buffers
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -96,7 +97,7 @@ def test_u9_faces_match_roll_in_every_layout(layout):
                                         "per-face": None}[layout]
     q = np.random.default_rng(12).standard_normal(g.shape)
     s = scheme_coefficients("u9")
-    got = face_interpolate(q, s, d, flow)
+    got = face_interpolate(q, s, d, flow, *nan_buffers(q, 3))
     assert got.tobytes() == reference_faces(q, s, d, u_faces[d]).tobytes()
 
 

@@ -141,18 +141,67 @@ def test_poisoned_idle_buffers_change_no_step(monkeypatch, problem, kw):
     check_poisoned_steps(monkeypatch, problem, kw, STEPS)
 
 
+def spy_windows(monkeypatch):
+    """The list every ``fct.limiter_window`` window is appended to."""
+    windows, window = [], fct.limiter_window
+    monkeypatch.setattr(fct, "limiter_window",
+                        lambda *a: windows.append(window(*a)) or windows[-1])
+    return windows
+
+
 def test_poisoned_idle_buffers_change_no_small_window_step(monkeypatch):
     """The same with the limiter's window buffers carved from ``face`` and
     ``scratch``."""
-    windows = []
-    window = fct.limiter_window
-    monkeypatch.setattr(fct, "limiter_window",
-                        lambda *a: windows.append(window(*a)) or windows[-1])
+    windows = spy_windows(monkeypatch)
     check_poisoned_steps(monkeypatch, SMALL_WINDOW, {"limiter": "on"}, 3)
     dim, n = SMALL_WINDOW[:2]
     # every window, the fresh steps' and the poisoned ones', fits
     assert windows and all(
         named_window_buffers(dim) * math.prod(w.shape) <= 3 * n ** dim for w in windows)
+
+
+def fresh_window_buffers(ws, shape, count):
+    """``count`` separate window buffers, none of them in the workspace,
+    filled with NaN."""
+    return [np.full(shape, np.nan) for _ in range(count)]
+
+
+@pytest.mark.parametrize("kw", [kw for kw in MODES if kw.get("limiter", "on") == "on"],
+                         ids=mode_id)
+@pytest.mark.parametrize("dim, n, cells", ((1, 128, 24), (2, 32, 32)), ids=("1d", "2d"))
+def test_partly_fitting_window_buffers_change_no_step(monkeypatch, dim, n, cells, kw):
+    """Where only the leading window buffers fit in ``face`` and
+    ``scratch``, steps on a workspace poisoned before every step give the
+    bytes of the same steps with every window buffer a separate fresh
+    array.  The data are random on the first ``cells`` cells per axis,
+    which in 2D is the whole grid."""
+    limiter = apply_mode(monkeypatch, kw)
+    windows = spy_windows(monkeypatch)
+    g = Grid(dim, n)
+    q0 = np.zeros(g.shape)
+    part = (slice(0, cells),) * dim
+    q0[part] = np.random.default_rng(3).random(q0[part].shape)
+    s = scheme_coefficients(SCHEME)
+    v = make_velocity("rotation" if dim == 2 else "constant", g)
+    flow = face_flow(face_average_velocity(v, g), g, default_product_order(s))
+    dt = SIGMA * g.h / max_speed(v, g)
+
+    def steps(poisoned):
+        ws, q, out = Workspace(g), q0, []
+        for _ in range(3):
+            if poisoned:
+                poison(ws)
+            q, etas = fct_advance(q, flow, dt, SIGMA, s, ws, limiter)
+            out.append([q.tobytes(), *(eta.tobytes() for eta in etas)])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Workspace, "window_buffers", fresh_window_buffers)
+        want = steps(poisoned=False)
+    assert steps(poisoned=True) == want
+    count = {True: dim + 2, False: named_window_buffers(dim)}
+    assert len(windows) == 6
+    assert all(count[w.whole] * math.prod(w.shape) > 3 * n ** dim for w in windows)
 
 
 def test_step_reads_qn_and_writes_the_other_frame():
@@ -299,22 +348,23 @@ def test_limited_step_keeps_its_window_arrays_off_the_heap(monkeypatch):
 
 @pytest.mark.parametrize("dim, fits", ((1, 16), (2, 19)))
 def test_window_buffers_fill_the_idle_run(dim, fits):
-    """The limiter's window buffers that fit in ``face`` and ``scratch``
-    are carved from them, sharing no memory with the frames, ``flux_high``,
-    ``flux`` or each other; with one cell more per axis they come from a
-    fresh block."""
+    """The leading window buffers, as many as fit in ``face`` and
+    ``scratch``, are carved from them and the rest come from a fresh
+    block; none shares memory with the frames, ``flux_high``, ``flux`` or
+    another buffer.  At an edge of ``fits`` all of them fit, with one cell
+    more per axis all but the last, and on the whole grid three."""
     g = Grid(dim, 32)
     ws = Workspace(g)
     count = named_window_buffers(dim)
     held = [*ws.frames, *ws.flux_high, *ws.flux]
-    for size, carved in ((fits, True), (fits + 1, False)):
+    for size, carved in ((fits, count), (fits + 1, count - 1), (g.n, 3)):
         buffers = ws.window_buffers((size,) * dim, count)
         assert len(buffers) == count
         assert all(b.shape == (size,) * dim and b.flags.c_contiguous for b in buffers)
         for i, b in enumerate(buffers):
             assert not any(np.shares_memory(b, a) for a in held)
             assert not any(np.shares_memory(b, c) for c in buffers[i + 1:])
-            assert any(np.shares_memory(b, a) for a in (ws.face, *ws.scratch)) == carved
+            assert any(np.shares_memory(b, a) for a in (ws.face, *ws.scratch)) == (i < carved)
 
 
 @pytest.mark.parametrize("reads", ("frame 0", "frame 1", "q0"))
