@@ -60,8 +60,10 @@ def integrate(
 ):
     """Advance ``q0`` to ``t_final`` at the given CFL number.
 
-    The step size is sigma * h / max_speed, with the last step shrunk to
-    land exactly on ``t_final`` (the effective CFL only decreases).  A run
+    The step size dt is sigma * h / max_speed, and the last step lands
+    exactly on ``t_final``: up to 1e-9 steps past a whole number of steps
+    it takes that remainder too, so it is at most dt * (1 + 1e-9) and its
+    CFL number at most sigma * (1 + 1e-9).  A run
     of more than MAX_STEPS steps is rejected with a ``ValueError`` that
     names sigma, t_final and h, before any work.  The velocity-only part
     of the face fluxes (``schemes.face_flow``), the only form of the

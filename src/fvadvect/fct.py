@@ -46,9 +46,6 @@ LIMITER_MODES = ("on", "off", "off-low")
 # fluxes are computed only on a crop around the cells holding more than
 # this (``high_order_crop``).
 ANTIDIFFUSION_TOL = 1e-14
-# The high-order crop's length is a multiple of this many cells, so that
-# its shapes, and the neighbour-read plans cached per shape, repeat.
-CROP_MULTIPLE = 16
 # Cells of halo around the active faces.  Face k, between cells k-1 and k,
 # takes R at those cells; R at cell i takes the preconstrained A at faces
 # i and i+1 along each axis, whose d2 at shifts -2..1 reads qn at i-3 and
@@ -442,15 +439,14 @@ def high_order_crop(abs_q, scale, scheme, mask):
     """The ``periodic_window`` the high-order fluxes are computed on, or None.
 
     Its core holds every cell with |q| > ANTIDIFFUSION_TOL * scale (from
-    ``abs_q``, the grid array |q|, into the boolean ``mask``).  It pads
-    the core by the RK4 reach R (``rk4_reach``) plus one face per side:
-    a face more than R cells from every core cell gets a flux of the
-    negligible cells alone, and the crop's own periodic wrap reads only
-    padding cells, which are negligible too.  Its length is rounded up to
-    a multiple of CROP_MULTIPLE.
+    ``abs_q``, the grid array |q|, into the boolean ``mask``).  It is the
+    core padded by exactly the RK4 reach R (``rk4_reach``) plus one face
+    per side, sized as the limiter window is: a face more than R cells
+    from every core cell gets a flux of the negligible cells alone, and
+    the crop's own periodic wrap reads only padding cells, negligible too.
     """
     np.greater(abs_q, ANTIDIFFUSION_TOL * scale, out=mask)
-    return periodic_window((mask,), rk4_reach(scheme) + 1, CROP_MULTIPLE)
+    return periodic_window((mask,), rk4_reach(scheme) + 1)
 
 
 def high_order_fluxes(qn, flow, dt, scheme, ws, crop):

@@ -157,19 +157,19 @@ class Workspace:
         """A workspace for a grid of ``shape`` inside this one's pool, or None
         where its buffers do not fit.
 
-        Its buffers leave the frame ``qn`` alone (when ``qn`` is one) and
-        are laid out backwards from the far end of the rest of the pool,
-        so its ``flux_high`` never meets this workspace's (which follows
-        ``frames[0]``): a step can run on the crop and then write its
-        fluxes into ``self.flux_high``.  It has no ``pool`` or ``active``.
+        Its room is the pool less one frame: ``qn`` where that is a frame,
+        else ``frames[1]``, so a crop fits by its shape alone.  Its buffers
+        are laid out backwards from the room's far end, so its ``flux_high``
+        never meets this workspace's (which follows ``frames[0]``): a step
+        can run on the crop and then write its fluxes into
+        ``self.flux_high``.  It has no ``pool`` or ``active``.
         """
-        grid_size = self.frames[0].size
-        lo = grid_size if qn is self.frames[0] else 0
-        hi = self.pool.size - (grid_size if qn is self.frames[1] else 0)
-        if self.buffers(len(shape)) * math.prod(shape) > hi - lo:
+        lo = self.frames[0].size if qn is self.frames[0] else 0
+        room = self.pool[lo:lo + self.pool.size - self.frames[0].size]
+        if self.buffers(len(shape)) * math.prod(shape) > room.size:
             return None
         ws = object.__new__(Workspace)
-        ws._lay_out(self.pool[lo:hi], shape, backwards=True)
+        ws._lay_out(room, shape, backwards=True)
         ws.pool, ws.active = None, None
         return ws
 
@@ -241,15 +241,15 @@ class Window:
             a[in_grid] -= w[in_window]
 
 
-def periodic_window(masks, reach, multiple=1):
+def periodic_window(masks, reach):
     """The ``Window`` around every True entry of the grid arrays ``masks``,
     or None when there is none.
 
     Per axis the core is the shortest circular run of indices holding
     every True entry (the complement of the largest gap between them).
-    The window starts ``reach`` cells before it and is ``2 * reach`` cells
-    longer, rounded up to a ``multiple`` of cells; an axis whose window
-    reaches n is taken whole, where the periodic wrap is exact.
+    The window is that run padded by exactly ``reach`` cells per side; an
+    axis whose window reaches n is taken whole, where the periodic wrap
+    is exact.
     """
     shape, spans, core = masks[0].shape, [], []
     for ax, n in enumerate(shape):
@@ -260,7 +260,7 @@ def periodic_window(masks, reach, multiple=1):
         gaps = np.diff(hits, append=hits[0] + n)
         j = int(np.argmax(gaps))
         start, length = int(hits[(j + 1) % hits.size]), n + 1 - int(gaps[j])
-        size = -(-(length + 2 * reach) // multiple) * multiple
+        size = length + 2 * reach
         lo = (start - reach) % n if size < n else 0
         spans.append(_circular_run(lo, min(size, n), n, lo))
         core.append(_circular_run(start, length, n, lo))

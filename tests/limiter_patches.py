@@ -22,3 +22,31 @@ def force_eta(monkeypatch, value):
 def skip_preconstraint(monkeypatch):
     """Every limited step keeps the antidiffusive fluxes as they are."""
     monkeypatch.setattr(fct, "preconstrain", lambda A, *args, out: A)
+
+
+def capture_bounds(monkeypatch):
+    """Every limited step appends ``(window, q_max, q_min)`` to the returned
+    list: its ``limiter_window`` window (None where no face is active) and,
+    copied when ``extremum_bound_correction`` returns, its relaxed upper
+    and windowed lower bound.  They must be copied then, because
+    ``compute_pqr`` writes R_in and R_out over the bound buffers."""
+    steps, current = [], {}
+    window, bounds, relax = fct.limiter_window, fct.compute_bounds, fct.extremum_bound_correction
+
+    def spy_window(*args):
+        steps.append([window(*args), None, None])
+        return steps[-1][0]
+
+    def spy_bounds(*args, out):
+        current["q_min"] = out[1]
+        return bounds(*args, out=out)
+
+    def spy_relax(*args, out):
+        q_max = relax(*args, out=out)
+        steps[-1][1:] = q_max.copy(), current["q_min"].copy()
+        return q_max
+
+    monkeypatch.setattr(fct, "limiter_window", spy_window)
+    monkeypatch.setattr(fct, "compute_bounds", spy_bounds)
+    monkeypatch.setattr(fct, "extremum_bound_correction", spy_relax)
+    return steps

@@ -63,6 +63,21 @@ class TestStepCeiling:
         with pytest.raises(ValueError, match="more than 8 steps"):
             integrate(np.zeros(g.shape), velocity, g, "u5", 0.5, 9 * dt)
 
+    def test_last_step_absorbs_a_remainder_below_the_slack(self, monkeypatch):
+        """t_final / dt = 10 + 5e-10 takes 10 steps, the last one longer
+        than dt by the remainder and at most dt * (1 + 1e-9)."""
+        g = Grid(1, 16)
+        dt = 0.5 * g.h
+        t_final = (10 + 5e-10) * dt
+        seen = []
+        monkeypatch.setattr(driver, "fct_advance",
+                            lambda q, flow, step_dt, *args: seen.append(step_dt) or (q, None))
+        result = integrate(np.zeros(g.shape), ConstantDiagonal(dim=1), g, "u5", 0.5, t_final,
+                           limiter="off")
+        assert result.steps == len(seen) == 10
+        assert seen[:-1] == [dt] * 9
+        assert dt < seen[-1] <= dt * (1 + 1e-9)
+
     def test_underflowing_step_is_rejected(self, monkeypatch):
         monkeypatch.setattr(driver, "fct_advance", _no_step)
         g = Grid(1, 16, hi=1e-300)

@@ -14,7 +14,7 @@ fluxes wrap round the crop, and the oracle sees it.
 import numpy as np
 import pytest
 
-from fvadvect import fct, grid
+from fvadvect import fct
 from fvadvect.grid import Grid, Workspace, periodic_window
 from fvadvect.highorder import rk4_high_order_step
 from fvadvect.loworder import low_order_update
@@ -158,9 +158,9 @@ def test_reach_of_each_scheme():
         "u5": 12, "u9": 20, "c4": 12}
 
 
-def test_crop_shape_rounded_and_placed():
-    """The crop starts R + 1 cells before the patch and its length is a
-    multiple of CROP_MULTIPLE."""
+def test_crop_shape_exact_and_placed():
+    """The crop starts R + 1 cells before the patch and is the patch
+    padded by exactly R + 1 cells per side."""
     g = Grid(1, N)
     q = np.zeros(g.shape)
     q[40:45] = 1.0
@@ -169,22 +169,7 @@ def test_crop_shape_rounded_and_placed():
     ((in_grid, in_window),) = crop.blocks
     reach = fct.rk4_reach(s) + 1
     assert in_grid[0].start == 40 - reach
-    assert crop.shape[0] % fct.CROP_MULTIPLE == 0
-    assert crop.shape[0] >= 5 + 2 * reach
-
-
-def test_same_crop_shape_adds_no_plan_miss(monkeypatch):
-    """A step whose crop has the shape of the step before reuses every
-    cached neighbour-read plan."""
-    g, s, flow, u_faces, q, dt = setup(2, "u5", "constant", "cosine8")
-    crops = record_crops(monkeypatch)
-    ws = Workspace(g)
-    misses = []
-    for _ in range(3):
-        q, _ = fct.fct_advance(q, flow, dt, SIGMA[2], s, ws, "off")
-        misses.append(grid._plan.cache_info().misses)
-    assert not crops[1].whole and crops[2].shape == crops[1].shape
-    assert misses[2] == misses[1]
+    assert crop.shape == (5 + 2 * reach,)
 
 
 def mirrored_faces(flow, d, shape):

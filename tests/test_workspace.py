@@ -2,6 +2,7 @@
 no whole-grid allocation in a steady-state unlimited or CTU step, and the
 limiter's window arrays in the step's idle buffers."""
 
+import itertools
 import math
 import threading
 import tracemalloc
@@ -371,8 +372,8 @@ def test_window_buffers_fill_the_idle_run(dim, fits):
 @pytest.mark.parametrize("dim, fits", ((1, 27), (2, 30)))
 def test_crop_buffers_leave_qn_and_flux_high_alone(dim, fits, reads):
     """The largest crop that fits beside a frame shares no memory with
-    that frame, with the grid's ``flux_high`` or with itself; one cell
-    more per axis does not fit."""
+    ``qn``, with the grid's ``flux_high`` or with itself; one cell more
+    per axis does not fit, whether ``qn`` is a frame or not."""
     g = Grid(dim, 32)
     ws = Workspace(g)
     qn = {"frame 0": ws.frames[0], "frame 1": ws.frames[1], "q0": np.zeros(g.shape)}[reads]
@@ -384,4 +385,48 @@ def test_crop_buffers_leave_qn_and_flux_high_alone(dim, fits, reads):
         assert not any(np.shares_memory(b, c) for c in buffers[i + 1:])
     for f in crop.flux_high:
         assert not any(np.shares_memory(f, F) for F in ws.flux_high)
-    assert (ws.crop(qn, (fits + 1,) * dim) is None) == (reads != "q0")
+    assert ws.crop(qn, (fits + 1,) * dim) is None
+
+
+@pytest.mark.parametrize("reads", ("frame 0", "frame 1", "q0"))
+@pytest.mark.parametrize("dim", (1, 2))
+def test_a_crop_fits_by_its_shape_alone(dim, reads):
+    """``crop`` returns None exactly where the crop's buffers exceed the
+    pool less one grid array, for every ``qn``."""
+    g = Grid(dim, 32)
+    ws = Workspace(g)
+    qn = {"frame 0": ws.frames[0], "frame 1": ws.frames[1], "q0": np.zeros(g.shape)}[reads]
+    room = ws.pool.size - g.n ** dim
+    for shape in itertools.product(range(20, g.n), repeat=dim):
+        fits = Workspace.buffers(dim) * math.prod(shape) <= room
+        assert (ws.crop(qn, shape) is not None) == fits, shape
+
+
+# (dim, n, cells, velocity): random data on the first ``cells`` rows.  On
+# step 3 of the unlimited run the crop is 111 rows long (112 when crops
+# were rounded to 16 cells), which fits in the whole pool but not beside
+# a frame: a room that depended on ``qn`` ran that step on the crop from
+# a copy and on the whole grid from a frame.
+FRAME_OR_COPY = ((1, 128, 16, "constant"), (2, 120, 16, "constant"))
+
+
+@pytest.mark.parametrize("limiter", fct.LIMITER_MODES)
+@pytest.mark.parametrize("dim, n, cells, vel", FRAME_OR_COPY, ids=("1d", "2d"))
+def test_a_step_from_a_frame_equals_one_from_a_copy(dim, n, cells, vel, limiter):
+    """The same steps from the same state give the same bytes whether
+    ``qn`` is a frame of the workspace or an array outside it: the crop
+    fits or not by its shape alone."""
+    g = Grid(dim, n)
+    q0 = np.zeros(g.shape)
+    q0[:cells] = np.random.default_rng(2).random(q0[:cells].shape)
+    s = scheme_coefficients(SCHEME)
+    v = make_velocity(vel, g)
+    flow = face_flow(face_average_velocity(v, g), g, default_product_order(s))
+    dt = SIGMA * g.h / max_speed(v, g)
+    ws = Workspace(g)
+    q = ws.frames[1]
+    np.copyto(q, q0)
+    for step in range(1, 4):
+        fresh, _ = fct_advance(q.copy(), flow, dt, SIGMA, s, Workspace(g), limiter)
+        q, _ = fct_advance(q, flow, dt, SIGMA, s, ws, limiter)
+        assert q.tobytes() == fresh.tobytes(), f"step {step}"
